@@ -152,7 +152,7 @@ func (nw *Network) router(cfg options) (*route.Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	return route.NewFromReduced(nw.g, red, rcfg)
+	return route.NewFromReduced(nw.g, red, rcfg, nil)
 }
 
 // SetPosition records a node position (used by geometric tooling and the
@@ -373,7 +373,7 @@ func (nw *Network) CountComponent(s NodeID, opts ...Option) (*CountResult, error
 	if err != nil {
 		return nil, err
 	}
-	c, err := count.NewFromReduced(nw.g, red, cfg.countConfig())
+	c, err := count.NewFromReduced(nw.g, red, cfg.countConfig(), nil)
 	if err != nil {
 		return nil, err
 	}

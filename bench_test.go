@@ -92,39 +92,45 @@ func BenchmarkWalkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkFlatWalkStep measures one exploration step on the compiled CSR
-// snapshot with the inlined PRF oracle — the flat equivalent of
-// BenchmarkWalkStep's ues.Step + Sequence.At hop. The gap between the two
-// is the per-hop cost the flat walk core removes (map lookup, interface
-// dispatch, error plumbing).
+// BenchmarkFlatWalkStep measures one exploration hop of the flat walk
+// core — the flat equivalent of BenchmarkWalkStep's ues.Step +
+// Sequence.At hop. Each op is one failing RouteWalk toward an absent
+// destination over a warm direction stream: the kernel's own hop loop,
+// forward over all of T and back, reported per hop as ns/hop. The gap to
+// BenchmarkWalkStep is the per-hop cost the flat walk core removes (map
+// lookup, interface dispatch, error plumbing, the PRF derivation).
 func BenchmarkFlatWalkStep(b *testing.B) {
 	red, err := degred.Reduce(gen.Grid(16, 16))
 	if err != nil {
 		b.Fatal(err)
 	}
 	f := red.Flat()
-	seq := flatgraph.Seq{Seed: 1, Base: 3, Length: ues.Length(f.NumNodes(), 0)}
-	node, inPort := int32(0), int32(0)
-	l := int64(seq.Length)
-	// The measured loop is the walk core's real hop shape: directions
-	// prefetched in blocks, then one flat step per hop.
-	var dirs [128]int8
-	i, k := int64(1), len(dirs)
+	entryID, ok := red.Entry(0)
+	if !ok {
+		b.Fatal("no entry for node 0")
+	}
+	entry, _ := f.Index(entryID)
+	// T for bound 64 stays under the stream's cache cap, so every hop
+	// reads a cached chunk, as a warm serving walk does.
+	seq := flatgraph.NewStream(1).Seq(ues.Length(64, 0))
+	walk := func() int64 {
+		out, err := f.RouteWalk(entry, 0, graph.NodeID(1<<30), seq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if out.Success {
+			b.Fatal("walk reached an absent destination")
+		}
+		return out.Hops
+	}
+	walk() // derive the stream's chunks outside the timer
+	hops := int64(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if k == len(dirs) {
-			if i+int64(len(dirs)) > l {
-				i = 1
-			}
-			seq.Fill(dirs[:], i)
-			k = 0
-		}
-		node, inPort = f.Step(node, inPort, int32(dirs[k]))
-		k++
-		i++
+		hops += walk()
 	}
-	_, _ = node, inPort
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(hops), "ns/hop")
 }
 
 // BenchmarkFlatRoute measures the steady-state hop loop of a prepared
@@ -143,7 +149,7 @@ func BenchmarkFlatRoute(b *testing.B) {
 		b.Fatal("no entry for node 0")
 	}
 	entry, _ := f.Index(entryID)
-	seq := flatgraph.Seq{Seed: 7, Base: 3, Length: ues.Length(f.NumNodes(), 0)}
+	seq := flatgraph.NewStream(7).Seq(ues.Length(f.NumNodes(), 0))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

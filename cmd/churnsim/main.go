@@ -348,7 +348,7 @@ func runCell(cfg sweepConfig, geo *gen.Geometric,
 		w.SetPositions(geo.Pos)
 		res, err := dynamic.NewRouter(w, dynamic.Config{
 			Seed: cfg.seed, HopsPerEpoch: cfg.hopsPerEpoch,
-		}).Route(pair[0], pair[1])
+		}, nil).Route(pair[0], pair[1])
 		if errors.Is(err, dynamic.ErrRoundsExhausted) {
 			aborted += res.AbortedRounds
 			continue // no verdict: counts against the delivery rate

@@ -40,7 +40,7 @@ func run() error {
 		}
 		w := dynamic.NewWorld(geo.G, sched)
 		w.SetPositions(geo.Pos)
-		router := dynamic.NewRouter(w, dynamic.Config{Seed: 7, HopsPerEpoch: 32})
+		router := dynamic.NewRouter(w, dynamic.Config{Seed: 7, HopsPerEpoch: 32}, nil)
 
 		res, err := router.Route(0, graph.NodeID(nodes-1))
 		if err != nil {

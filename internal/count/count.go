@@ -92,6 +92,7 @@ type Counter struct {
 	red  *degred.Reduced
 	work *graph.Graph
 	flat *flatgraph.Graph
+	dirs *flatgraph.Stream // directions of cfg.Seed for the flat rounds
 	cfg  Config
 }
 
@@ -102,19 +103,23 @@ func New(g *graph.Graph, cfg Config) (*Counter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("count: %w", err)
 	}
-	return NewFromReduced(g, red, cfg)
+	return NewFromReduced(g, red, cfg, nil)
 }
 
 // NewFromReduced builds a Counter for g from a precomputed degree
 // reduction of g, sharing the artifact with any Router built the same way.
-func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Counter, error) {
+// dirs is the direction stream of cfg.Seed the flat rounds read, shared
+// like the reduction; nil (or a stream of another seed) gives the counter
+// a stream of its own.
+func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config, dirs *flatgraph.Stream) (*Counter, error) {
 	if red == nil {
 		return nil, errors.New("count: NewFromReduced: nil reduction")
 	}
 	if cfg.Mode == 0 {
 		cfg.Mode = ModeLocal
 	}
-	return &Counter{orig: g, red: red, work: red.Graph(), flat: red.Flat(), cfg: cfg}, nil
+	return &Counter{orig: g, red: red, work: red.Graph(), flat: red.Flat(),
+		dirs: flatgraph.StreamFor(cfg.Seed, dirs), cfg: cfg}, nil
 }
 
 // Count runs Algorithm CountNodes(s) (§4).
@@ -169,7 +174,7 @@ func (c *Counter) Count(s graph.NodeID) (*Result, error) {
 // accounting (first-visit order, first miss aborts), and — once covered —
 // the distinct-identifier counts at both graph levels.
 func (c *Counter) flatRound(start int32, bound int, res *Result) (bool, error) {
-	fs := flatgraph.Seq{Seed: c.cfg.Seed, Base: 3, Length: ues.Length(bound, c.cfg.LengthFactor)}
+	fs := c.dirs.Seq(ues.Length(bound, c.cfg.LengthFactor))
 	visited := make([]bool, c.flat.NumNodes())
 	order, err := c.flat.CoverWalk(start, fs, visited, make([]int32, 0, c.flat.NumNodes()))
 	if err != nil {

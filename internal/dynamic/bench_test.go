@@ -26,7 +26,7 @@ func BenchmarkDynamicRoute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		w := NewWorldFromCompiled(g, red, &MarkovLinks{Seed: uint64(i), PDown: 0.08, PUp: 0.5})
-		if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 32}).Route(0, 18); err != nil {
+		if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 32}, nil).Route(0, 18); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -44,7 +44,7 @@ func BenchmarkDynamicRouteStatic(b *testing.B) {
 	}
 	red.Flat()
 	w := NewWorldFromCompiled(g, red, Static{})
-	r := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 32})
+	r := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 32}, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -121,7 +121,7 @@ func BenchmarkPrivateWorldRoute(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}).Route(0, 18); err != nil {
+		if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}, nil).Route(0, 18); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -150,7 +150,7 @@ func BenchmarkSharedWorldRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}).Route(0, 18); err != nil {
+		if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}, nil).Route(0, 18); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -179,7 +179,7 @@ func BenchmarkSharedWorldRouteParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}).Route(0, 18); err != nil {
+			if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}, nil).Route(0, 18); err != nil {
 				b.Fatal(err)
 			}
 		}

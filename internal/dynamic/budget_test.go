@@ -67,8 +67,8 @@ func TestChurnComponentsMatchBFSOracle(t *testing.T) {
 	w := NewWorld(base, &MarkovLinks{Seed: 5, PDown: 0.15, PUp: 0.5})
 	// Frozen clocks: the routers must not advance the world mid-audit, so
 	// the certified and walked routers decide on the same topology.
-	cert := NewRouter(w, Config{Seed: 7, HopsPerEpoch: -1})
-	walk := NewRouter(w, Config{Seed: 7, HopsPerEpoch: -1, DisableCertificates: true})
+	cert := NewRouter(w, Config{Seed: 7, HopsPerEpoch: -1}, nil)
+	walk := NewRouter(w, Config{Seed: 7, HopsPerEpoch: -1, DisableCertificates: true}, nil)
 	pairs := []struct{ s, d graph.NodeID }{
 		{0, 15}, {0, 102}, {100, 103}, {0, 424242},
 	}
@@ -184,7 +184,7 @@ func TestDynamicBudgetedSplitEqualsUninterrupted(t *testing.T) {
 	base := gen.Torus(5, 5)
 	cfg := Config{Seed: 3, HopsPerEpoch: 16, DisableCertificates: true}
 	mkRouter := func() *Router {
-		return NewRouter(NewWorld(base, &EdgeChurn{Seed: 11, PDrop: 0.08, AddRate: 1}), cfg)
+		return NewRouter(NewWorld(base, &EdgeChurn{Seed: 11, PDrop: 0.08, AddRate: 1}), cfg, nil)
 	}
 	want, err := mkRouter().Route(0, 18)
 	if err != nil {
@@ -216,11 +216,11 @@ func TestDynamicBudgetedSplitEqualsUninterrupted(t *testing.T) {
 // uninterrupted verdict.
 func TestDynamicBudgetedDeadline(t *testing.T) {
 	base := gen.Torus(4, 5)
-	want, err := NewRouter(NewWorld(base, nil), Config{Seed: 9, HopsPerEpoch: 16}).Route(0, 19)
+	want, err := NewRouter(NewWorld(base, nil), Config{Seed: 9, HopsPerEpoch: 16}, nil).Route(0, 19)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewRouter(NewWorld(base, nil), Config{Seed: 9, HopsPerEpoch: 16})
+	r := NewRouter(NewWorld(base, nil), Config{Seed: 9, HopsPerEpoch: 16}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, err := r.RouteBudgeted(ctx, 0, 19, 0, nil)
@@ -244,7 +244,7 @@ func TestDynamicBudgetedDeadline(t *testing.T) {
 // re-enters at the original node's canonical gadget and still reaches a
 // verdict.
 func TestDynamicResumeAfterExternalAdvance(t *testing.T) {
-	r := NewRouter(NewWorld(gen.Torus(4, 5), nil), Config{Seed: 2, HopsPerEpoch: -1})
+	r := NewRouter(NewWorld(gen.Torus(4, 5), nil), Config{Seed: 2, HopsPerEpoch: -1}, nil)
 	res, err := r.RouteBudgeted(context.Background(), 0, 19, 3, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -280,12 +280,12 @@ func TestDynamicBudgetedRejects(t *testing.T) {
 	ctx := context.Background()
 	base := gen.Torus(4, 5)
 
-	ref := NewRouter(NewWorld(base, nil), Config{Seed: 1, DisableFlat: true})
+	ref := NewRouter(NewWorld(base, nil), Config{Seed: 1, DisableFlat: true}, nil)
 	if _, err := ref.RouteBudgeted(ctx, 0, 19, 10, nil); !errors.Is(err, route.ErrBudgetUnsupported) {
 		t.Fatalf("DisableFlat error = %v, want ErrBudgetUnsupported", err)
 	}
 
-	r := NewRouter(NewWorld(base, nil), Config{Seed: 1, HopsPerEpoch: -1})
+	r := NewRouter(NewWorld(base, nil), Config{Seed: 1, HopsPerEpoch: -1}, nil)
 	res, err := r.RouteBudgeted(ctx, 0, 19, 1, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -329,7 +329,7 @@ func TestDynamicBudgetedRejects(t *testing.T) {
 // routing.
 func TestWorldChaos(t *testing.T) {
 	w := NewWorld(gen.Torus(4, 5), nil)
-	r := NewRouter(w, Config{Seed: 4, HopsPerEpoch: 16})
+	r := NewRouter(w, Config{Seed: 4, HopsPerEpoch: 16}, nil)
 
 	w.SetChaos(chaos.New(chaos.Config{Seed: 1, CompileFailRate: 1}))
 	if _, _, err := w.AddEdge(0, 7); err != nil { // invalidate the compile cache

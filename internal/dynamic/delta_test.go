@@ -53,7 +53,7 @@ func structSig(t *testing.T, w *World) string {
 // perturbs neither world) and returns the result.
 func routePair(t *testing.T, w *World, s, dst graph.NodeID) *Result {
 	t.Helper()
-	res, err := NewRouter(w, Config{Seed: 9, HopsPerEpoch: -1}).Route(s, dst)
+	res, err := NewRouter(w, Config{Seed: 9, HopsPerEpoch: -1}, nil).Route(s, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,11 +183,11 @@ func TestDeltaCompileMatchesFull(t *testing.T) {
 		wf.SetDeltaCompilation(false)
 		for i := 0; i < 60; i++ {
 			s, dst := graph.NodeID(i%36), graph.NodeID((i*7+11)%36)
-			rd, err := NewRouter(wd, Config{Seed: 31, HopsPerEpoch: 8}).Route(s, dst)
+			rd, err := NewRouter(wd, Config{Seed: 31, HopsPerEpoch: 8}, nil).Route(s, dst)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rf, err := NewRouter(wf, Config{Seed: 31, HopsPerEpoch: 8}).Route(s, dst)
+			rf, err := NewRouter(wf, Config{Seed: 31, HopsPerEpoch: 8}, nil).Route(s, dst)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -64,7 +64,7 @@ func TestNoOpScheduleMatchesStaticRoute(t *testing.T) {
 				}
 
 				w := NewWorld(tc.g, Static{})
-				dyn := NewRouter(w, Config{Seed: seed, HopsPerEpoch: 16, DisableFlat: disableFlat})
+				dyn := NewRouter(w, Config{Seed: seed, HopsPerEpoch: 16, DisableFlat: disableFlat}, nil)
 				got, err := dyn.Route(tc.s, tc.t)
 				if err != nil {
 					t.Fatal(err)
@@ -106,7 +106,7 @@ func TestNoOpKnownBoundMatchesStatic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn := NewRouter(NewWorld(g, Static{}), Config{Seed: 5, KnownN: 256, HopsPerEpoch: 32})
+	dyn := NewRouter(NewWorld(g, Static{}), Config{Seed: 5, KnownN: 256, HopsPerEpoch: 32}, nil)
 	got, err := dyn.Route(0, 15)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestBothPathsAgreeUnderChurn(t *testing.T) {
 		t.Helper()
 		sched := &MarkovLinks{Seed: 99, PDown: 0.08, PUp: 0.5}
 		w := NewWorld(base, sched)
-		res, err := NewRouter(w, Config{Seed: 13, HopsPerEpoch: 24, DisableFlat: disableFlat}).Route(0, 19)
+		res, err := NewRouter(w, Config{Seed: 13, HopsPerEpoch: 24, DisableFlat: disableFlat}, nil).Route(0, 19)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -290,7 +290,7 @@ func TestDeliveryUnderMarkovChurn(t *testing.T) {
 		s, dst := graph.NodeID(0), graph.NodeID(12+rep%12)
 		gd := &guarded{inner: &MarkovLinks{Seed: uint64(rep) * 31, PDown: 0.05, PUp: 0.5}, s: s, t: dst}
 		w := NewWorld(base, gd)
-		res, err := NewRouter(w, Config{Seed: uint64(rep), HopsPerEpoch: 32}).Route(s, dst)
+		res, err := NewRouter(w, Config{Seed: uint64(rep), HopsPerEpoch: 32}, nil).Route(s, dst)
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -324,7 +324,7 @@ func TestDeliveryUnderMobility(t *testing.T) {
 		w := NewWorld(geo.G, sched)
 		w.SetPositions(geo.Pos)
 		s, dst := graph.NodeID(0), graph.NodeID(29)
-		res, err := NewRouter(w, Config{Seed: uint64(rep) ^ 0xd, HopsPerEpoch: 48}).Route(s, dst)
+		res, err := NewRouter(w, Config{Seed: uint64(rep) ^ 0xd, HopsPerEpoch: 48}, nil).Route(s, dst)
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -354,7 +354,7 @@ func TestAdversarialLinkCutter(t *testing.T) {
 		cutter := &LinkCutter{}
 		gd := &guarded{inner: cutter, s: 0, t: 10}
 		w := NewWorld(base, gd)
-		res, err := NewRouter(w, Config{Seed: uint64(rep), HopsPerEpoch: 16}).Route(0, 10)
+		res, err := NewRouter(w, Config{Seed: uint64(rep), HopsPerEpoch: 16}, nil).Route(0, 10)
 		if err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -377,7 +377,7 @@ func TestAdversarialLinkCutter(t *testing.T) {
 // dynamics: epochs advanced, recompiles paid, resumptions taken.
 func TestResumptionAccounting(t *testing.T) {
 	w := NewWorld(gen.Torus(5, 5), &MarkovLinks{Seed: 2, PDown: 0.15, PUp: 0.4})
-	res, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 16}).Route(0, 18)
+	res, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 16}, nil).Route(0, 18)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestResumptionAccounting(t *testing.T) {
 // TestRouteErrors covers the argument-validation paths.
 func TestRouteErrors(t *testing.T) {
 	w := NewWorld(gen.Grid(2, 2), nil)
-	r := NewRouter(w, Config{})
+	r := NewRouter(w, Config{}, nil)
 	if _, err := r.Route(99, 0); err == nil {
 		t.Fatal("unknown source accepted")
 	}

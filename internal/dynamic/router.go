@@ -139,13 +139,17 @@ type Result struct {
 // whatever happened during the route, which may include epochs triggered
 // by concurrent walks.
 type Router struct {
-	w   *World
-	cfg Config
+	w    *World
+	dirs *flatgraph.Stream // directions of cfg.Seed, shared across snapshots
+	cfg  Config
 }
 
-// NewRouter builds a dynamic router over w.
-func NewRouter(w *World, cfg Config) *Router {
-	return &Router{w: w, cfg: cfg}
+// NewRouter builds a dynamic router over w. dirs is the direction stream
+// of cfg.Seed its flat walks read: pass the stream of the compiled engine
+// that builds one router per request, so no request re-derives a chunk;
+// nil (or a stream of another seed) gives the router a stream of its own.
+func NewRouter(w *World, cfg Config, dirs *flatgraph.Stream) *Router {
+	return &Router{w: w, dirs: flatgraph.StreamFor(cfg.Seed, dirs), cfg: cfg}
 }
 
 // World returns the world this router drives.
@@ -404,7 +408,7 @@ func flatStepperAt(red *degred.Reduced, flat *flatgraph.Graph, at, s, t graph.No
 // runRoundFlat drives the round on the compiled flat stepper.
 func (r *Router) runRoundFlat(s, t graph.NodeID, bound int, rt *runState) (netsim.Status, bool, error) {
 	L := r.seqLen(bound)
-	seq := flatgraph.Seq{Seed: r.cfg.Seed, Base: 3, Length: L}
+	seq := r.dirs.Seq(L)
 	red, flat, err := r.w.Compiled()
 	if err != nil {
 		return netsim.StatusNone, false, err
@@ -802,7 +806,7 @@ func (r *Router) refProbe(red *degred.Reduced, flat *flatgraph.Graph, st *netsim
 		return Probe{Active: true, At: orig}, nil
 	}
 	h := st.Header()
-	seq := flatgraph.Seq{Seed: r.cfg.Seed, Base: 3, Length: r.seqLen(bound)}
+	seq := r.dirs.Seq(r.seqLen(bound))
 	la, err := flat.ResumeRouteStepper(dense, int32(inPort), s, t, seq,
 		h.Index, h.Dir == netsim.Backward, h.Status == netsim.StatusSuccess)
 	if err != nil {
@@ -876,6 +880,11 @@ func (r *Router) certificate(red *degred.Reduced, flat *flatgraph.Graph, s, t gr
 // the source component) and contains no gadget of t. This is what makes a
 // dynamic failure verdict oracle-sound: it certifies unreachability on the
 // topology as it stands at decision time.
+//
+// When the snapshot's component index puts t's entry gadget in the
+// source's component, the check cannot pass — a closed visited set would
+// be that component and so contain a gadget of t — and the answer comes in
+// O(1) without walking.
 func (r *Router) definitiveFailure(s, t graph.NodeID, bound int) (bool, error) {
 	red, flat, err := r.w.Compiled()
 	if err != nil {
@@ -889,9 +898,13 @@ func (r *Router) definitiveFailure(s, t graph.NodeID, bound int) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("dynamic: cover check: gadget %d missing from snapshot", entry)
 	}
-	seq := flatgraph.Seq{Seed: r.cfg.Seed, Base: 3, Length: r.seqLen(bound)}
+	if te, ok := red.Entry(t); ok {
+		if ti, ok := flat.Index(te); ok && flat.Components().Same(dense, ti) {
+			return false, nil
+		}
+	}
 	visited := make([]bool, flat.NumNodes())
-	if _, err := flat.CoverWalk(dense, seq, visited, nil); err != nil {
+	if _, err := flat.CoverWalk(dense, r.dirs.Seq(r.seqLen(bound)), visited, nil); err != nil {
 		return false, fmt.Errorf("dynamic: cover check: %w", err)
 	}
 	if !flat.Closed(visited) {

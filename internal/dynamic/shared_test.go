@@ -43,7 +43,7 @@ func TestSharedWorldFrozenMatchesPrivate(t *testing.T) {
 	}
 	wants := make(map[graph.NodeID]want)
 	for dst := graph.NodeID(0); dst < 25; dst += 3 {
-		res, err := NewRouter(private, frozen).Route(0, dst)
+		res, err := NewRouter(private, frozen, nil).Route(0, dst)
 		if err != nil {
 			t.Fatalf("private route 0->%d: %v", dst, err)
 		}
@@ -56,7 +56,7 @@ func TestSharedWorldFrozenMatchesPrivate(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for dst, w := range wants {
-				res, err := NewRouter(shared, frozen).Route(0, dst)
+				res, err := NewRouter(shared, frozen, nil).Route(0, dst)
 				if err != nil {
 					t.Errorf("shared route 0->%d: %v", dst, err)
 					return
@@ -89,7 +89,7 @@ func TestSharedWorldConcurrentChurnRouters(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 5; k++ {
 				dst := graph.NodeID((7*c + 5*k) % g.NumNodes())
-				res, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 16}).Route(0, dst)
+				res, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: 16}, nil).Route(0, dst)
 				if err != nil {
 					if errors.Is(err, ErrRoundsExhausted) {
 						continue
@@ -139,7 +139,7 @@ func TestSharedWorldConcurrentAdvance(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}).Route(0, 9); err != nil &&
+				if _, err := NewRouter(w, Config{Seed: 3, HopsPerEpoch: -1}, nil).Route(0, 9); err != nil &&
 					!errors.Is(err, ErrRoundsExhausted) {
 					t.Error(err)
 					return

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"repro/internal/dynamic"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/trace"
 )
@@ -226,5 +228,45 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 			b.Fatal(err)
 		}
 		tr.Finish()
+	}
+}
+
+// grid32Pairs returns n fixed pseudo-random distinct pairs on the 32×32
+// grid — the network of servebench's walk_large workload.
+func grid32Pairs(n int) []Pair {
+	rng := rand.New(rand.NewPCG(32, 32))
+	pairs := make([]Pair, 0, n)
+	for len(pairs) < n {
+		s, t := graph.NodeID(rng.IntN(1024)), graph.NodeID(rng.IntN(1024))
+		if s != t {
+			pairs = append(pairs, Pair{Src: s, Dst: t})
+		}
+	}
+	return pairs
+}
+
+// BenchmarkRouteBatchGrid32 is the walk-kernel benchmark behind the
+// walk_large serving workload: one batch of 16 fixed pairs on the warm
+// 32×32 grid engine (n′ = 3968) with one worker, so an op is the summed
+// cost of 16 doubling loops — forward walks, backtracks, and the closure
+// checks of failed rounds.
+func BenchmarkRouteBatchGrid32(b *testing.B) {
+	e, err := Compile(gen.Grid(32, 32), Config{Seed: 3, Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pairs := grid32Pairs(16)
+	check := func() {
+		for _, r := range e.RouteBatch(context.Background(), pairs) {
+			if r.Err != nil || r.Res.Status != netsim.StatusSuccess {
+				b.Fatalf("%d->%d: %v %v", r.Src, r.Dst, r.Err, r.Res)
+			}
+		}
+	}
+	check() // warm: the engine's stream holds every symbol the batch reads
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		check()
 	}
 }

@@ -74,7 +74,7 @@ func (e *Engine) routeDynamic(ctx context.Context, w *dynamic.World, s, t graph.
 	if cur != nil {
 		e.m.resumedWalks.Add(1)
 	}
-	res, err := dynamic.NewRouter(w, cfg).RouteBudgetedTraced(ctx, s, t, maxHops, cur, qsp)
+	res, err := dynamic.NewRouter(w, cfg, e.dirs).RouteBudgetedTraced(ctx, s, t, maxHops, cur, qsp)
 	e.m.recordDynamic(res, err, start)
 	if qsp.Recording() {
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/count"
 	"repro/internal/degred"
+	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/hybrid"
 	"repro/internal/route"
@@ -55,13 +56,19 @@ type Config struct {
 // Engine is a routing engine compiled for one fixed network. All methods
 // are safe for concurrent use; construction state is immutable after
 // Compile and per-query state lives entirely on the query's stack (plus
-// the lock-free sequence cache and metrics).
+// the lock-free sequence cache, direction stream, and metrics).
 type Engine struct {
 	g       *graph.Graph
 	red     *degred.Reduced
 	router  *route.Router
 	counter *count.Counter
 	cfg     Config
+
+	// dirs is the direction stream of cfg.Seed that every walk this engine
+	// serves reads — static, budgeted, counting, and the dynamic routers
+	// built per request — so each chunk is derived once per engine and
+	// freed with it. It grows lazily: Compile derives no symbol.
+	dirs *flatgraph.Stream
 
 	// seqs caches the compiled T_bound family keyed by bound, so the
 	// doubling schedule's handful of distinct bounds is derived once and
@@ -75,8 +82,8 @@ type Engine struct {
 }
 
 // Compile builds the engine for g: one degree reduction, one router, one
-// counter, one (lazily filled) sequence-family cache. g must not be
-// mutated afterwards.
+// counter, one (lazily filled) sequence-family cache and direction
+// stream. g must not be mutated afterwards.
 func Compile(g *graph.Graph, cfg Config) (*Engine, error) {
 	if g == nil {
 		return nil, ErrNoGraph
@@ -112,18 +119,18 @@ func CompileWithReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Engin
 	// should pay for its construction at compile time, not on the first
 	// query.
 	red.Flat()
-	e := &Engine{g: g, red: red, cfg: cfg, m: newMetrics()}
+	e := &Engine{g: g, red: red, cfg: cfg, m: newMetrics(), dirs: flatgraph.NewStream(cfg.Seed)}
 	rcfg := e.routeConfig()
 	var err error
 	if cfg.NoDegreeReduction {
 		e.router, err = route.New(g, rcfg)
 	} else {
-		e.router, err = route.NewFromReduced(g, red, rcfg)
+		e.router, err = route.NewFromReduced(g, red, rcfg, e.dirs)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
-	e.counter, err = count.NewFromReduced(g, red, e.countConfig())
+	e.counter, err = count.NewFromReduced(g, red, e.countConfig(), e.dirs)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}

@@ -85,7 +85,7 @@ func E11DynamicNetworks(o Options) (*Table, error) {
 			}
 			res, err := dynamic.NewRouter(w, dynamic.Config{
 				Seed: o.Seed + uint64(rep), HopsPerEpoch: 24,
-			}).Route(s, d)
+			}, nil).Route(s, d)
 			if err != nil {
 				return nil, fmt.Errorf("E11 %s rep %d: %w", sc.name, rep, err)
 			}

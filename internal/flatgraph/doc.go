@@ -14,18 +14,23 @@
 //   - nodes get dense int32 indices; the port table is one flat []Half32
 //     indexed by rowStart[node]+port (stride 3 on the 3-regular reduced
 //     graph);
-//   - the PRF symbol derivation (ues.Symbol over prng.Mix64) is inlined via
-//     the concrete Seq value — no interface call;
+//   - directions come from a Stream: the seed's base-3 symbols
+//     ues.Symbol(seed, i, 3), packed two bits each and grown lazily in
+//     chunks of 4096 (after a doubling head of 256..2048) published through
+//     atomic pointers, up to a fixed cap of 2²⁰ symbols (256 KiB). Every
+//     T_bound of the doubling loop is a prefix of that one stream, so a
+//     hop reads its direction with a compare, a load and a shift instead
+//     of two SplitMix64 rounds; past the cap, walkers derive 256-symbol
+//     blocks into a buffer of their own. One Stream per seed is shared by
+//     every walker of a compiled engine and freed with it;
 //   - all bounds are validated once at Compile, so the hop loop carries no
-//     per-hop error values;
-//   - the walkers optionally prefetch direction blocks so the sequence
-//     oracle is amortized across hops.
+//     per-hop error values.
 //
 // Concurrency contract: a compiled Graph is immutable after Compile and
 // safe for any number of concurrent walkers — every walk loop works
-// exclusively on its caller's stack plus the shared read-only arrays. The
-// hop-granular RouteStepper holds per-walk state and is single-goroutine,
-// but any number of steppers may share one Graph.
+// exclusively on its caller's stack plus the shared read-only arrays and
+// the lock-free Stream. The hop-granular RouteStepper holds per-walk state
+// and is single-goroutine, but any number of steppers may share one Graph.
 //
 // The slow token engine remains the semantic reference: the walkers here
 // replicate its verdicts, hop counts, traces, and even its header-size

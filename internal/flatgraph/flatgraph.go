@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/ues"
 )
 
 // Half32 is a compact half-edge: the dense index of the far node and the
@@ -196,24 +195,10 @@ func (f *Graph) Closed(visited []bool) bool {
 	return true
 }
 
-// Seq is a compiled exploration sequence: the i-th direction is
-// ues.Symbol(Seed, i, Base), with the length frozen at construction. Being
-// a small value type with concrete methods, the symbol derivation inlines
-// into the walk loops.
+// Seq is a compiled exploration sequence: the first Length directions of a
+// direction Stream, T_bound for Length = ues.Length(bound, factor). Being a
+// small value type, it is passed to the walk loops by value.
 type Seq struct {
-	Seed   uint64
-	Base   int
+	Dirs   *Stream
 	Length int
-}
-
-// At returns the i-th direction, 1 ≤ i ≤ Length (not bounds-checked: the
-// walk loops bound i structurally).
-func (s Seq) At(i int64) int32 { return int32(ues.Symbol(s.Seed, uint64(i), s.Base)) }
-
-// Fill writes directions from..from+len(buf)-1 into buf — the per-walk
-// block prefetch that amortizes the sequence oracle across hops.
-func (s Seq) Fill(buf []int8, from int64) {
-	for k := range buf {
-		buf[k] = int8(ues.Symbol(s.Seed, uint64(from+int64(k)), s.Base))
-	}
 }

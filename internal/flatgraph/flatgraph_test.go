@@ -117,17 +117,13 @@ func TestStepMatchesUES(t *testing.T) {
 
 func TestSeqMatchesUES(t *testing.T) {
 	p := &ues.Pseudorandom{Seed: 42, N: 64, Base: 3}
-	s := flatgraph.Seq{Seed: 42, Base: 3, Length: p.Len()}
-	for i := 1; i <= 2000; i++ {
-		if int(s.At(int64(i))) != p.At(i) {
-			t.Fatalf("At(%d): Seq %d, ues %d", i, s.At(int64(i)), p.At(i))
-		}
+	s := flatgraph.NewStream(42).Seq(p.Len())
+	if s.Length != p.Len() {
+		t.Fatalf("Length %d, want %d", s.Length, p.Len())
 	}
-	buf := make([]int8, 257)
-	s.Fill(buf, 100)
-	for k, v := range buf {
-		if int(v) != p.At(100+k) {
-			t.Fatalf("Fill[%d]: %d, want %d", k, v, p.At(100+k))
+	for i := 1; i <= p.Len(); i++ {
+		if int(s.Dirs.At(int64(i))) != p.At(i) {
+			t.Fatalf("At(%d): Seq %d, ues %d", i, s.Dirs.At(int64(i)), p.At(i))
 		}
 	}
 }
@@ -136,7 +132,7 @@ func TestCoverWalkAndClosed(t *testing.T) {
 	g := gen.Grid(4, 4)
 	_, f := compileReduced(t, g)
 	entry := int32(0)
-	seq := flatgraph.Seq{Seed: 7, Base: 3, Length: ues.Length(4*f.NumNodes(), 0)}
+	seq := flatgraph.NewStream(7).Seq(ues.Length(4*f.NumNodes(), 0))
 	visited := make([]bool, f.NumNodes())
 	order, err := f.CoverWalk(entry, seq, visited, make([]int32, 0, f.NumNodes()))
 	if err != nil {
@@ -173,7 +169,7 @@ func TestWalkRejectsIrregular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := flatgraph.Seq{Seed: 1, Base: 3, Length: 100}
+	seq := flatgraph.NewStream(1).Seq(100)
 	if _, err := f.RouteWalk(0, 0, 1, seq); err != flatgraph.ErrNotRegular {
 		t.Fatalf("RouteWalk on cycle: %v", err)
 	}
@@ -195,7 +191,7 @@ func TestRouteWalkFindsTarget(t *testing.T) {
 	red, f := compileReduced(t, g)
 	entryID, _ := red.Entry(0)
 	entry, _ := f.Index(entryID)
-	seq := flatgraph.Seq{Seed: 7, Base: 3, Length: ues.Length(4*f.NumNodes(), 0)}
+	seq := flatgraph.NewStream(7).Seq(ues.Length(4*f.NumNodes(), 0))
 	out, err := f.RouteWalk(entry, 0, 15, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +219,7 @@ func TestStepperMatchesWalk(t *testing.T) {
 	red, f := compileReduced(t, g)
 	entryID, _ := red.Entry(0)
 	entry, _ := f.Index(entryID)
-	seq := flatgraph.Seq{Seed: 3, Base: 3, Length: ues.Length(4*f.NumNodes(), 0)}
+	seq := flatgraph.NewStream(3).Seq(ues.Length(4*f.NumNodes(), 0))
 	for _, dst := range []graph.NodeID{15, 9999} {
 		want, err := f.RouteWalk(entry, 0, dst, seq)
 		if err != nil {
@@ -260,7 +256,7 @@ func TestInstrumentedStepperMatchesWalk(t *testing.T) {
 	red, f := compileReduced(t, g)
 	entryID, _ := red.Entry(0)
 	entry, _ := f.Index(entryID)
-	seq := flatgraph.Seq{Seed: 3, Base: 3, Length: ues.Length(4*f.NumNodes(), 0)}
+	seq := flatgraph.NewStream(3).Seq(ues.Length(4*f.NumNodes(), 0))
 	for _, dst := range []graph.NodeID{15, 9999} {
 		want, err := f.RouteWalk(entry, 0, dst, seq)
 		if err != nil {

@@ -15,7 +15,8 @@ import (
 // execution path.
 type RouteStepper struct {
 	f        *Graph
-	seq      Seq
+	d        dirs
+	length   int64
 	src, dst graph.NodeID
 	node     int32
 	inPort   int32
@@ -73,7 +74,7 @@ func (f *Graph) RouteStepper(start int32, src, dst graph.NodeID, seq Seq) (*Rout
 // The dynamic subsystem re-enters at the canonical gadget of the message's
 // current original node with inPort 0, exactly like a fresh round's start.
 func (f *Graph) ResumeRouteStepper(node, inPort int32, src, dst graph.NodeID, seq Seq, index int64, backward, success bool) (*RouteStepper, error) {
-	if !f.regular3 || seq.Base != 3 {
+	if !f.regular3 {
 		return nil, ErrNotRegular
 	}
 	if node < 0 || int(node) >= f.NumNodes() {
@@ -83,7 +84,7 @@ func (f *Graph) ResumeRouteStepper(node, inPort int32, src, dst graph.NodeID, se
 		return nil, fmt.Errorf("flatgraph: resume with in-port %d outside [0,3)", inPort)
 	}
 	return &RouteStepper{
-		f: f, seq: seq, src: src, dst: dst,
+		f: f, d: dirs{s: seq.Dirs}, length: int64(seq.Length), src: src, dst: dst,
 		node: node, inPort: inPort, index: index,
 		backward: backward, success: success,
 	}, nil
@@ -108,7 +109,8 @@ func (st *RouteStepper) Step() bool {
 			st.done = true
 			return true
 		}
-		t := st.seq.At(st.index)
+		st.d.fit(st.index)
+		t := st.d.at(st.index)
 		st.index--
 		exit := st.inPort - t
 		if exit < 0 {
@@ -123,13 +125,14 @@ func (st *RouteStepper) Step() bool {
 		st.hop(st.inPort)
 		return false
 	}
-	if st.index > int64(st.seq.Length) {
+	if st.index > st.length {
 		st.backward = true
 		st.index--
 		st.hop(st.inPort)
 		return false
 	}
-	t := st.seq.At(st.index)
+	st.d.fit(st.index)
+	t := st.d.at(st.index)
 	st.index++
 	exit := st.inPort + t
 	if exit >= 3 {
@@ -164,7 +167,8 @@ func (st *RouteStepper) stepInstrumented() bool {
 			st.done = true
 			return true
 		}
-		t := st.seq.At(st.index)
+		st.d.fit(st.index)
+		t := st.d.at(st.index)
 		if s := act + int(t) + 1; s > st.ins.peak {
 			st.ins.peak = s
 		}
@@ -190,7 +194,7 @@ func (st *RouteStepper) stepInstrumented() bool {
 		st.emit()
 		return false
 	}
-	if st.index > int64(st.seq.Length) {
+	if st.index > st.length {
 		if act > st.ins.peak {
 			st.ins.peak = act
 		}
@@ -203,7 +207,8 @@ func (st *RouteStepper) stepInstrumented() bool {
 		st.emit()
 		return false
 	}
-	t := st.seq.At(st.index)
+	st.d.fit(st.index)
+	t := st.d.at(st.index)
 	if s := act + int(t) + 1; s > st.ins.peak {
 		st.ins.peak = s
 	}

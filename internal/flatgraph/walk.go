@@ -12,20 +12,15 @@ import (
 // relies on are validated before it starts.
 var (
 	// ErrNotRegular means a walk was requested on a snapshot that is not
-	// 3-regular or with a sequence whose alphabet is not base 3; the flat
-	// loops rely on both for stride addressing and branchless mod-3 steps.
-	ErrNotRegular = errors.New("flatgraph: walk requires a 3-regular snapshot and a base-3 sequence")
+	// 3-regular; the flat loops rely on it (with the stream's base-3
+	// directions) for stride addressing and branchless mod-3 steps.
+	ErrNotRegular = errors.New("flatgraph: walk requires a 3-regular snapshot")
 	// ErrUnwound is the defensive guard on the backward loop: the reversed
 	// walk consumed its whole index budget without reaching a node of the
 	// source — impossible for a well-formed reduction, since the unwind
 	// terminates at the start position at the latest.
 	ErrUnwound = errors.New("flatgraph: backward walk unwound past the origin")
 )
-
-// dirBlock is the direction-prefetch block size: walkers derive this many
-// sequence symbols at a time into a stack buffer, amortizing the PRF oracle
-// across hops instead of calling it mid-loop.
-const dirBlock = 128
 
 // Memory-metering replica. The reference engine charges every handler
 // activation for its working registers (route.charge): each of self,
@@ -72,18 +67,17 @@ type RouteOutcome struct {
 // positions, same hop counts, same verdict, same metering — with no
 // allocations and no per-hop error paths.
 func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOutcome, error) {
-	if !f.regular3 || seq.Base != 3 {
+	if !f.regular3 {
 		return RouteOutcome{}, ErrNotRegular
 	}
 	var (
 		out    RouteOutcome
-		dirs   [dirBlock]int8
+		spill  [spillWords]uint64
+		d      = dirs{s: seq.Dirs, spill: &spill}
 		node   = start
 		inPort = int32(0)
 		L      = int64(seq.Length)
 		i      = int64(1) // index of the next direction to apply
-		bBase  = int64(1) // dirs[k] holds T[bBase+k]
-		bLen   = int64(0)
 		peak   = 0
 		hops   = int64(0)
 	)
@@ -103,14 +97,8 @@ func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOut
 			}
 			break
 		}
-		if i >= bBase+bLen {
-			bBase, bLen = i, dirBlock
-			if rem := L - i + 1; rem < bLen {
-				bLen = rem
-			}
-			seq.Fill(dirs[:bLen], bBase)
-		}
-		t := int32(dirs[i-bBase])
+		d.fit(i)
+		t := d.at(i)
 		if s := act + int(t) + 1; s > peak {
 			peak = s
 		}
@@ -133,7 +121,6 @@ func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOut
 	hops++
 
 	// Backward phase: undo steps until any node simulating src is reached.
-	bLow := j + 1 // nothing prefetched yet
 	for {
 		act := int(f.memw[node]) + int(inPort) + 4 + wordBits(j)
 		if f.orig[node] == src {
@@ -146,14 +133,8 @@ func (f *Graph) RouteWalk(start int32, src, dst graph.NodeID, seq Seq) (RouteOut
 		if j < 1 {
 			return out, ErrUnwound
 		}
-		if j < bLow {
-			bLow = j - dirBlock + 1
-			if bLow < 1 {
-				bLow = 1
-			}
-			seq.Fill(dirs[:j-bLow+1], bLow)
-		}
-		t := int32(dirs[j-bLow])
+		d.fit(j)
+		t := d.at(j)
 		if s := act + int(t) + 1; s > peak {
 			peak = s
 		}
@@ -188,12 +169,13 @@ type BroadcastOutcome struct {
 // trace-based collection: every position of the forward walk, including the
 // start and the turnaround node.
 func (f *Graph) BroadcastWalk(start int32, src graph.NodeID, seq Seq, visited []bool) (BroadcastOutcome, error) {
-	if !f.regular3 || seq.Base != 3 {
+	if !f.regular3 {
 		return BroadcastOutcome{}, ErrNotRegular
 	}
 	var (
 		out    BroadcastOutcome
-		dirs   [dirBlock]int8
+		spill  [spillWords]uint64
+		d      = dirs{s: seq.Dirs, spill: &spill}
 		node   = start
 		inPort = int32(0)
 		L      = int64(seq.Length)
@@ -202,28 +184,21 @@ func (f *Graph) BroadcastWalk(start int32, src graph.NodeID, seq Seq, visited []
 	)
 	visited[node] = true
 	// Forward phase: exactly L steps — broadcast has no destination check.
-	for i := int64(1); i <= L; {
-		bLen := int64(dirBlock)
-		if rem := L - i + 1; rem < bLen {
-			bLen = rem
+	for i := int64(1); i <= L; i++ {
+		d.fit(i)
+		t := d.at(i)
+		if s := int(f.memw[node]) + int(inPort) + 4 + wordBits(i) + int(t) + 1; s > peak {
+			peak = s
 		}
-		seq.Fill(dirs[:bLen], i)
-		for k := int64(0); k < bLen; k++ {
-			t := int32(dirs[k])
-			if s := int(f.memw[node]) + int(inPort) + 4 + wordBits(i+k) + int(t) + 1; s > peak {
-				peak = s
-			}
-			exit := inPort + t
-			if exit >= 3 {
-				exit -= 3
-			}
-			h := f.halves[node*3+exit]
-			node, inPort = h.To, h.Port
-			visited[node] = true
+		exit := inPort + t
+		if exit >= 3 {
+			exit -= 3
 		}
-		i += bLen
-		hops += bLen
+		h := f.halves[node*3+exit]
+		node, inPort = h.To, h.Port
+		visited[node] = true
 	}
+	hops += L
 	out.MaxIndex = L + 1
 	if act := int(f.memw[node]) + int(inPort) + 4 + wordBits(L+1); act > peak {
 		peak = act // turnaround activation
@@ -234,7 +209,6 @@ func (f *Graph) BroadcastWalk(start int32, src graph.NodeID, seq Seq, visited []
 	h := f.halves[node*3+inPort]
 	node, inPort = h.To, h.Port
 	hops++
-	bLow := j + 1
 	for {
 		act := int(f.memw[node]) + int(inPort) + 4 + wordBits(j)
 		if f.orig[node] == src {
@@ -246,14 +220,8 @@ func (f *Graph) BroadcastWalk(start int32, src graph.NodeID, seq Seq, visited []
 		if j < 1 {
 			return out, ErrUnwound
 		}
-		if j < bLow {
-			bLow = j - dirBlock + 1
-			if bLow < 1 {
-				bLow = 1
-			}
-			seq.Fill(dirs[:j-bLow+1], bLow)
-		}
-		t := int32(dirs[j-bLow])
+		d.fit(j)
+		t := d.at(j)
 		if s := act + int(t) + 1; s > peak {
 			peak = s
 		}
@@ -278,38 +246,31 @@ func (f *Graph) BroadcastWalk(start int32, src graph.NodeID, seq Seq, visited []
 // behind the §4 closure check and the counting walks — no metering, no
 // messages.
 func (f *Graph) CoverWalk(start int32, seq Seq, visited []bool, order []int32) ([]int32, error) {
-	if !f.regular3 || seq.Base != 3 {
+	if !f.regular3 {
 		return order, ErrNotRegular
 	}
-	var dirs [dirBlock]int8
+	var spill [spillWords]uint64
+	d := dirs{s: seq.Dirs, spill: &spill}
 	node, inPort := start, int32(0)
 	visited[node] = true
 	if order != nil {
 		order = append(order, node)
 	}
 	L := int64(seq.Length)
-	for i := int64(1); i <= L; {
-		bLen := int64(dirBlock)
-		if rem := L - i + 1; rem < bLen {
-			bLen = rem
+	for i := int64(1); i <= L; i++ {
+		d.fit(i)
+		exit := inPort + d.at(i)
+		if exit >= 3 {
+			exit -= 3
 		}
-		seq.Fill(dirs[:bLen], i)
-		for k := int64(0); k < bLen; k++ {
-			t := int32(dirs[k])
-			exit := inPort + t
-			if exit >= 3 {
-				exit -= 3
-			}
-			h := f.halves[node*3+exit]
-			node, inPort = h.To, h.Port
-			if !visited[node] {
-				visited[node] = true
-				if order != nil {
-					order = append(order, node)
-				}
+		h := f.halves[node*3+exit]
+		node, inPort = h.To, h.Port
+		if !visited[node] {
+			visited[node] = true
+			if order != nil {
+				order = append(order, node)
 			}
 		}
-		i += bLen
 	}
 	return order, nil
 }

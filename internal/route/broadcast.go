@@ -117,7 +117,7 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 		if err := runRound(bound); err != nil {
 			return res, err
 		}
-		covered, err := r.covered(start, bound)
+		covered, err := r.coverWalk(start, bound)
 		if err != nil {
 			return res, err
 		}

@@ -68,7 +68,8 @@ func (r *Router) routeBudgeted(ctx context.Context, s, t graph.NodeID, maxHops i
 			if sp.Recording() {
 				sp.Event("route.certificate",
 					trace.Int("src_component", int64(cert.SrcComponent)),
-					trace.Int("dst_component", int64(cert.DstComponent)))
+					trace.Int("dst_component", int64(cert.DstComponent)),
+					trace.Int("components", int64(cert.Components)))
 			}
 			return res, nil
 		}
@@ -216,7 +217,7 @@ func (r *Router) routeBudgeted(ctx context.Context, s, t graph.NodeID, maxHops i
 			res.Status = netsim.StatusFailure
 			return res, nil
 		}
-		covered, err := r.covered(start, bound)
+		covered, err := r.covered(start, t, bound)
 		if err != nil {
 			res.Rounds = append(res.Rounds, stat)
 			return res, err

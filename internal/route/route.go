@@ -15,6 +15,12 @@
 // direction to apply. A backward message at P_k carries i = k, the index of
 // the step to undo next; it is delivered as soon as it reaches any gadget
 // node of s.
+//
+// The compiled walks read T[i] from a flatgraph.Stream, a packed memo of
+// the seed's symbols shared by every walk of one engine. The memo belongs
+// to the simulator, not to the nodes: each simulated node still derives
+// T[i] from O(log n) bits, and the PeakMemoryBits and MaxHeaderBits
+// metering charges the nodes' registers and headers, never the memo.
 package route
 
 import (
@@ -140,7 +146,8 @@ type Router struct {
 	orig *graph.Graph
 	red  *degred.Reduced // nil iff cfg.NoDegreeReduction
 	work *graph.Graph
-	flat *flatgraph.Graph // nil iff cfg.NoDegreeReduction (or disabled)
+	flat *flatgraph.Graph  // nil iff cfg.NoDegreeReduction (or disabled)
+	dirs *flatgraph.Stream // directions of cfg.Seed for the flat walks; nil iff flat is
 	cfg  Config
 }
 
@@ -199,21 +206,25 @@ func New(g *graph.Graph, cfg Config) (*Router, error) {
 	if err != nil {
 		return nil, fmt.Errorf("route: %w", err)
 	}
-	return NewFromReduced(g, red, cfg)
+	return NewFromReduced(g, red, cfg, nil)
 }
 
 // NewFromReduced builds a Router for g from a precomputed degree reduction
 // of g — the reusable artifact that lets one Reduce serve many routers
 // (and the sibling Counter). red must be the reduction of g; cfg must not
-// also request the no-reduction ablation.
-func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config) (*Router, error) {
+// also request the no-reduction ablation. dirs is the direction stream the
+// flat walks read: pass the stream of cfg.Seed shared by every walker of
+// one compiled engine, so its chunks are derived once; nil (or a stream of
+// another seed) gives the router a stream of its own.
+func NewFromReduced(g *graph.Graph, red *degred.Reduced, cfg Config, dirs *flatgraph.Stream) (*Router, error) {
 	if red == nil {
 		return nil, errors.New("route: NewFromReduced: nil reduction")
 	}
 	if cfg.NoDegreeReduction {
 		return nil, errors.New("route: NewFromReduced: config disables the degree reduction")
 	}
-	return &Router{orig: g, red: red, work: red.Graph(), flat: red.Flat(), cfg: cfg}, nil
+	return &Router{orig: g, red: red, work: red.Graph(), flat: red.Flat(),
+		dirs: flatgraph.StreamFor(cfg.Seed, dirs), cfg: cfg}, nil
 }
 
 // WorkGraph returns the graph actually walked (G′, or G under the
@@ -372,7 +383,7 @@ func (r *Router) route(s, t graph.NodeID, sp *trace.Span) (*Result, error) {
 			// Failed round: decide whether the failure is definitive by
 			// the §4 closure check — did T_bound cover the source
 			// component?
-			covered, err := r.covered(start, bound)
+			covered, err := r.covered(start, t, bound)
 			if err != nil {
 				return res, err
 			}
@@ -558,9 +569,10 @@ func (r *Router) sequence(bound int) ues.Sequence {
 }
 
 // flatSeq decides whether a round over seq may run on the compiled flat
-// walker, and derives its inlined sequence form if so. The reference
-// engine keeps the round whenever its instrumentation is requested or the
-// sequence is not PRF-backed.
+// walker, and returns it as a prefix of the router's direction stream if
+// so. The reference engine keeps the round whenever its instrumentation is
+// requested or the sequence is not the stream's: not PRF-backed, not base
+// 3, or of another seed.
 func (r *Router) flatSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
 	if r.flat == nil || r.cfg.DisableFlat || r.cfg.NoDegreeReduction ||
 		r.cfg.Confirm != ConfirmBacktrack || r.cfg.Trace != nil ||
@@ -572,10 +584,10 @@ func (r *Router) flatSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
 		return flatgraph.Seq{}, false
 	}
 	seed, base := prf.PRFParams()
-	if base != 3 {
+	if base != 3 || seed != r.dirs.Seed() {
 		return flatgraph.Seq{}, false
 	}
-	return flatgraph.Seq{Seed: seed, Base: 3, Length: seq.Len()}, true
+	return r.dirs.Seq(seq.Len()), true
 }
 
 func (r *Router) engineOptions() []netsim.Option {
@@ -596,13 +608,45 @@ func (r *Router) engineOptions() []netsim.Option {
 	return opts
 }
 
-// covered runs the §4 closure check for T_bound from the entry position:
+// covered decides whether a round that failed to find t at T_bound is
+// definitive — the §4 closure check. A failed round whose start shares t's
+// component never closes: had the walk covered that component, it would
+// have stood on a gadget of t and succeeded. The memoized component index
+// answers that case in O(1) without walking; otherwise coverWalk runs the
+// check.
+func (r *Router) covered(start, t graph.NodeID, bound int) (bool, error) {
+	if r.sharesComponent(start, t) {
+		return false, nil
+	}
+	return r.coverWalk(start, bound)
+}
+
+// sharesComponent reports whether t's entry gadget lies in start's
+// component of G′ (false when t has no gadget, and under the no-reduction
+// ablation).
+func (r *Router) sharesComponent(start, t graph.NodeID) bool {
+	if r.flat == nil {
+		return false
+	}
+	te, ok := r.red.Entry(t)
+	if !ok {
+		return false
+	}
+	ti, ok := r.flat.Index(te)
+	if !ok {
+		return false
+	}
+	si, ok := r.flat.Index(start)
+	return ok && r.flat.Components().Same(si, ti)
+}
+
+// coverWalk runs the §4 closure check for T_bound from the entry position:
 // it walks the sequence, collects the visited set V, and reports whether
 // every neighbour of V is in V (in which case V equals the component of s
 // and a failed search is definitive). This is the simulator-local
 // equivalent of CountNodes' Retrieve loops; the message-faithful version
 // with its full quadratic message cost lives in package count.
-func (r *Router) covered(start graph.NodeID, bound int) (bool, error) {
+func (r *Router) coverWalk(start graph.NodeID, bound int) (bool, error) {
 	seq := r.sequence(bound)
 	if fs, ok := r.flatSeq(seq); ok {
 		si, ok := r.flat.Index(start)

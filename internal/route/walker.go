@@ -179,7 +179,7 @@ func (w *Walker) Step() bool {
 		w.fail(err)
 		return true
 	}
-	covered, err := w.r.covered(start, w.bound)
+	covered, err := w.r.covered(start, w.t, w.bound)
 	if err != nil {
 		w.fail(err)
 		return true
