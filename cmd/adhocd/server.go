@@ -771,22 +771,19 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, eng *engine
 		writeJSON(w, http.StatusOK, reply)
 		return
 	}
-	if !req.bounded() {
-		res, err := eng.RouteTraced(src, dst, trace.FromContext(r.Context()))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, routeReplyOf(src, dst, res))
-		return
-	}
 	cur, ok := s.verifyResume(w, scope, req.Resume)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.boundedCtx(r, req.DeadlineMS)
-	defer cancel()
-	res, err := eng.RouteBudgetedTraced(ctx, src, dst, req.BudgetHops, cur, trace.FromContext(r.Context()))
+	q := route.Query{Src: src, Dst: dst, Budget: req.BudgetHops, Cursor: cur, Span: trace.FromContext(r.Context())}
+	if req.bounded() {
+		// Only a bounded walk gets a context: an unbounded one keeps no
+		// deadline, so a drain never cuts it short.
+		ctx, cancel := s.boundedCtx(r, req.DeadlineMS)
+		defer cancel()
+		q.Ctx = ctx
+	}
+	res, err := eng.RouteQuery(q)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -1051,8 +1048,8 @@ func (s *server) handleDynamic(w http.ResponseWriter, r *http.Request) {
 	// Unlike the other endpoints, a dynamic query's cost scales with its
 	// knobs (each churned epoch buys a recompile), so they are clamped
 	// server-side: one request must not purchase unbounded CPU.
-	res, err := s.eng.RouteDynamicTraced(world, graph.NodeID(req.Src), graph.NodeID(req.Dst),
-		clampDynamics(req.HopsPerEpoch, req.MaxRounds), trace.FromContext(r.Context()))
+	q := route.Query{Src: graph.NodeID(req.Src), Dst: graph.NodeID(req.Dst), Span: trace.FromContext(r.Context())}
+	res, err := s.eng.RouteDynamicQuery(world, q, clampDynamics(req.HopsPerEpoch, req.MaxRounds))
 	if err != nil {
 		writeErr(w, err)
 		return

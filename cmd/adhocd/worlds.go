@@ -9,6 +9,7 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/registry"
+	"repro/internal/route"
 	"repro/internal/trace"
 )
 
@@ -247,24 +248,19 @@ func (s *server) handleWorldRoute(w http.ResponseWriter, r *http.Request) {
 	ent.Routes.Add(1)
 	src, dst := graph.NodeID(req.Src), graph.NodeID(req.Dst)
 	cfg := clampDynamics(req.HopsPerEpoch, req.MaxRounds)
-	if req.BudgetHops <= 0 && req.DeadlineMS <= 0 && req.Resume == "" {
-		res, err := ent.Eng.RouteDynamicTraced(ent.W, src, dst, cfg, trace.FromContext(r.Context()))
-		if err != nil {
-			writeErr(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, dynamicReplyOf(req.Src, req.Dst, res, ent.W))
-		return
-	}
 	scope := "world:" + ent.ID
 	cur, ok := s.verifyResume(w, scope, req.Resume)
 	if !ok {
 		return
 	}
-	ctx, cancel := s.boundedCtx(r, req.DeadlineMS)
-	defer cancel()
-	res, err := ent.Eng.RouteDynamicBudgetedTraced(ctx, ent.W, src, dst, req.BudgetHops, cur, cfg,
-		trace.FromContext(r.Context()))
+	q := route.Query{Src: src, Dst: dst, Budget: req.BudgetHops, Cursor: cur, Span: trace.FromContext(r.Context())}
+	if req.BudgetHops > 0 || req.DeadlineMS > 0 || req.Resume != "" {
+		// As for static routes, only a bounded walk gets a context.
+		ctx, cancel := s.boundedCtx(r, req.DeadlineMS)
+		defer cancel()
+		q.Ctx = ctx
+	}
+	res, err := ent.Eng.RouteDynamicQuery(ent.W, q, cfg)
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -149,19 +149,26 @@ func TestChurnComponentsMatchBFSOracle(t *testing.T) {
 	}
 }
 
-// dynRunToVerdict drives RouteBudgeted under a fixed per-request budget,
-// resuming until a verdict lands.
+// dynRunToVerdict drives RouteQuery under a fixed per-request budget,
+// resuming until a verdict lands, and fails if any continuation spends
+// more hops than its budget.
 func dynRunToVerdict(t *testing.T, r *Router, s, d graph.NodeID, budget int64) (*Result, int) {
 	t.Helper()
 	var cur *route.Cursor
+	var spent int64
 	for i := 0; ; i++ {
 		if i > 200000 {
 			t.Fatal("walk did not converge")
 		}
-		res, err := r.RouteBudgeted(context.Background(), s, d, budget, cur)
+		res, err := r.RouteQuery(route.Query{Ctx: context.Background(), Src: s, Dst: d, Budget: budget, Cursor: cur})
 		if err != nil {
 			t.Fatalf("budgeted route %d->%d (continuation %d): %v", s, d, i, err)
 		}
+		if res.Hops-spent > budget {
+			t.Fatalf("budgeted route %d->%d (continuation %d) spent %d hops on a budget of %d",
+				s, d, i, res.Hops-spent, budget)
+		}
+		spent = res.Hops
 		if res.Exhausted == "" {
 			return res, i
 		}
@@ -179,7 +186,9 @@ func dynRunToVerdict(t *testing.T, r *Router, s, d graph.NodeID, budget int64) (
 // differential: on identically-seeded churning worlds, a walk split across
 // budget continuations must equal the uninterrupted walk — verdict, hops,
 // header bits, bound, rounds, epochs, and mid-walk resumptions — including
-// walks whose cursors cross epoch recompiles.
+// walks whose cursors cross epoch recompiles. A budget that covers the
+// whole walk finishes it in one call, even when it runs out on the hop
+// that lands on the source.
 func TestDynamicBudgetedSplitEqualsUninterrupted(t *testing.T) {
 	base := gen.Torus(5, 5)
 	cfg := Config{Seed: 3, HopsPerEpoch: 16, DisableCertificates: true}
@@ -194,7 +203,7 @@ func TestDynamicBudgetedSplitEqualsUninterrupted(t *testing.T) {
 		t.Fatalf("baseline did not churn (epochs %d, recompiles %d) — test is vacuous",
 			want.Epochs, want.Recompiles)
 	}
-	for _, budget := range []int64{1, 17, 256, 1 << 40} {
+	for _, budget := range []int64{1, 17, 256, want.Hops, 1 << 40} {
 		got, continuations := dynRunToVerdict(t, mkRouter(), 0, 18, budget)
 		if got.Status != want.Status || got.Hops != want.Hops ||
 			got.MaxHeaderBits != want.MaxHeaderBits || got.Bound != want.Bound ||
@@ -205,8 +214,9 @@ func TestDynamicBudgetedSplitEqualsUninterrupted(t *testing.T) {
 		if budget == 1 && continuations < 2 {
 			t.Fatalf("budget 1 finished in %d continuations over %d hops", continuations, want.Hops)
 		}
-		if budget == 1<<40 && continuations != 0 {
-			t.Fatalf("huge budget still took %d continuations", continuations)
+		if budget >= want.Hops && continuations != 0 {
+			t.Fatalf("budget %d covers the %d-hop walk but took %d continuations",
+				budget, want.Hops, continuations)
 		}
 	}
 }
@@ -223,14 +233,14 @@ func TestDynamicBudgetedDeadline(t *testing.T) {
 	r := NewRouter(NewWorld(base, nil), Config{Seed: 9, HopsPerEpoch: 16}, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.RouteBudgeted(ctx, 0, 19, 0, nil)
+	res, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 19})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Exhausted != route.ExhaustDeadline || res.Cursor == nil {
 		t.Fatalf("expired-context result = %+v", res)
 	}
-	got, err := r.RouteBudgeted(context.Background(), 0, 19, 0, res.Cursor)
+	got, err := r.RouteQuery(route.Query{Ctx: context.Background(), Src: 0, Dst: 19, Cursor: res.Cursor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +255,7 @@ func TestDynamicBudgetedDeadline(t *testing.T) {
 // verdict.
 func TestDynamicResumeAfterExternalAdvance(t *testing.T) {
 	r := NewRouter(NewWorld(gen.Torus(4, 5), nil), Config{Seed: 2, HopsPerEpoch: -1}, nil)
-	res, err := r.RouteBudgeted(context.Background(), 0, 19, 3, nil)
+	res, err := r.RouteQuery(route.Query{Ctx: context.Background(), Src: 0, Dst: 19, Budget: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +272,7 @@ func TestDynamicResumeAfterExternalAdvance(t *testing.T) {
 	if w.Version() == res.Cursor.Version {
 		t.Fatal("external mutation did not bump the version")
 	}
-	got, err := r.RouteBudgeted(context.Background(), 0, 19, 0, res.Cursor)
+	got, err := r.RouteQuery(route.Query{Ctx: context.Background(), Src: 0, Dst: 19, Cursor: res.Cursor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +291,12 @@ func TestDynamicBudgetedRejects(t *testing.T) {
 	base := gen.Torus(4, 5)
 
 	ref := NewRouter(NewWorld(base, nil), Config{Seed: 1, DisableFlat: true}, nil)
-	if _, err := ref.RouteBudgeted(ctx, 0, 19, 10, nil); !errors.Is(err, route.ErrBudgetUnsupported) {
+	if _, err := ref.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 19, Budget: 10}); !errors.Is(err, route.ErrBudgetUnsupported) {
 		t.Fatalf("DisableFlat error = %v, want ErrBudgetUnsupported", err)
 	}
 
 	r := NewRouter(NewWorld(base, nil), Config{Seed: 1, HopsPerEpoch: -1}, nil)
-	res, err := r.RouteBudgeted(ctx, 0, 19, 1, nil)
+	res, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 19, Budget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,30 +305,30 @@ func TestDynamicBudgetedRejects(t *testing.T) {
 	}
 	cur := *res.Cursor
 	cur.Dst = 3
-	if _, err := r.RouteBudgeted(ctx, 0, 19, 1, &cur); !errors.Is(err, route.ErrBadCursor) {
+	if _, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 19, Budget: 1, Cursor: &cur}); !errors.Is(err, route.ErrBadCursor) {
 		t.Fatalf("mismatched-pair cursor error = %v, want ErrBadCursor", err)
 	}
 	cur = *res.Cursor
 	cur.Bound = 0
-	if _, err := r.RouteBudgeted(ctx, 0, 19, 1, &cur); !errors.Is(err, route.ErrBadCursor) {
+	if _, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 19, Budget: 1, Cursor: &cur}); !errors.Is(err, route.ErrBadCursor) {
 		t.Fatalf("zero-bound cursor error = %v, want ErrBadCursor", err)
 	}
 	cur = *res.Cursor
 	cur.Node = 1 << 30
-	if _, err := r.RouteBudgeted(ctx, 0, 19, 1, &cur); !errors.Is(err, route.ErrBadCursor) {
+	if _, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 19, Budget: 1, Cursor: &cur}); !errors.Is(err, route.ErrBadCursor) {
 		t.Fatalf("out-of-range cursor error = %v, want ErrBadCursor", err)
 	}
 	cur = *res.Cursor
 	cur.Version++
 	cur.At = 424242 // re-entry node that does not exist on this topology
-	if _, err := r.RouteBudgeted(ctx, 0, 19, 1, &cur); !errors.Is(err, route.ErrBadCursor) {
+	if _, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 19, Budget: 1, Cursor: &cur}); !errors.Is(err, route.ErrBadCursor) {
 		t.Fatalf("missing re-entry cursor error = %v, want ErrBadCursor", err)
 	}
 
-	if res, err := r.RouteBudgeted(ctx, 9, 9, 1, nil); err != nil || res.Status != netsim.StatusSuccess {
+	if res, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 9, Dst: 9, Budget: 1}); err != nil || res.Status != netsim.StatusSuccess {
 		t.Fatalf("self route = %+v, %v", res, err)
 	}
-	if _, err := r.RouteBudgeted(ctx, 4242, 0, 1, nil); !errors.Is(err, graph.ErrNodeNotFound) {
+	if _, err := r.RouteQuery(route.Query{Ctx: ctx, Src: 4242, Dst: 0, Budget: 1}); !errors.Is(err, graph.ErrNodeNotFound) {
 		t.Fatalf("missing source error = %v", err)
 	}
 }

@@ -49,7 +49,7 @@ type Config struct {
 	// the stateless per-node handler instead of the compiled flat stepper.
 	// The two are hop-for-hop identical (pinned by the differential
 	// tests); the reference path exists for those tests and debugging.
-	// Budgeted routing (RouteBudgeted) requires the flat path.
+	// Bounded queries (a budget, deadline or cursor) require the flat path.
 	DisableFlat bool
 	// DisableCertificates skips the O(1) component-index check at route
 	// start, forcing even provably-unreachable pairs to burn the walk.
@@ -124,7 +124,7 @@ type Result struct {
 	// Exhausted is non-empty when the walk stopped on a budget or deadline
 	// instead of a verdict; Cursor then holds the resume position.
 	Exhausted route.ExhaustReason
-	// Cursor continues an exhausted walk in a later RouteBudgeted call.
+	// Cursor continues an exhausted walk in a later RouteQuery.
 	Cursor *route.Cursor
 }
 
@@ -184,43 +184,27 @@ type runState struct {
 // retried rather than failed, and a failed round's verdict is only
 // accepted after the closure check passes on the instantaneous topology.
 func (r *Router) Route(s, t graph.NodeID) (*Result, error) {
-	return r.route(s, t, nil)
+	return r.RouteQuery(route.Query{Src: s, Dst: t})
 }
 
-// RouteTraced is Route recording one child span per round under sp, with
-// per-hop walk events and timed events for epoch advances, snapshot
-// resumptions, and aborted rounds. Tracing keeps the walk on the compiled
-// flat stepper; a nil (unsampled) span routes identically to Route.
-func (r *Router) RouteTraced(s, t graph.NodeID, sp *trace.Span) (*Result, error) {
-	return r.route(s, t, sp)
-}
-
-// RouteBudgeted is Route with bounded work: the walk stops after maxHops
-// message hops (0 = unlimited) or when ctx expires — deadlines are checked
-// at round starts and epoch boundaries, never per hop — returning a Result
-// with Exhausted set and a Cursor that continues the walk in a later call
-// exactly where it stopped. Pass cur = nil for a fresh walk. A cursor
-// minted on a snapshot the world has since recompiled re-enters at the
-// canonical gadget of the original node it was at, the same rule a
-// mid-walk epoch recompile applies. Budgeted routing requires the compiled
-// flat path; DisableFlat configurations get route.ErrBudgetUnsupported.
-func (r *Router) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor) (*Result, error) {
-	return r.routeBudgeted(ctx, s, t, maxHops, cur, nil)
-}
-
-// RouteBudgetedTraced is RouteBudgeted recording spans under sp.
-func (r *Router) RouteBudgetedTraced(ctx context.Context, s, t graph.NodeID, maxHops int64,
-	cur *route.Cursor, sp *trace.Span) (*Result, error) {
-	return r.routeBudgeted(ctx, s, t, maxHops, cur, sp)
-}
-
-func (r *Router) route(s, t graph.NodeID, sp *trace.Span) (*Result, error) {
-	return r.routeBudgeted(nil, s, t, 0, nil, sp)
-}
-
-func (r *Router) routeBudgeted(ctx context.Context, s, t graph.NodeID, maxHops int64,
-	cur *route.Cursor, sp *trace.Span) (*Result, error) {
-	if (ctx != nil || maxHops > 0 || cur != nil) && r.cfg.DisableFlat {
+// RouteQuery answers q over the evolving topology — the one entry point
+// behind plain, traced, bounded and resumed dynamic walks.
+//
+// Span records one child span per round, with per-hop walk events and
+// timed events for epoch advances, snapshot resumptions, and aborted
+// rounds; tracing keeps the walk on the compiled flat stepper. Budget and
+// Ctx bound the work: the walk stops after Budget message hops or when
+// Ctx expires — deadlines are checked at round starts and epoch
+// boundaries, never per hop — returning a Result with Exhausted set and a
+// Cursor that continues the walk in a later query exactly where it
+// stopped. A cursor minted on a snapshot the world has since recompiled
+// re-enters at the canonical gadget of the original node it was at, the
+// same rule a mid-walk epoch recompile applies. Bounded queries require
+// the compiled flat path; DisableFlat configurations get
+// route.ErrBudgetUnsupported.
+func (r *Router) RouteQuery(q route.Query) (*Result, error) {
+	ctx, s, t, maxHops, cur, sp := q.Ctx, q.Src, q.Dst, q.Budget, q.Cursor, q.Span
+	if q.Bounded() && r.cfg.DisableFlat {
 		return nil, fmt.Errorf("%w (DisableFlat)", route.ErrBudgetUnsupported)
 	}
 	if !r.w.HasNode(s) {
@@ -402,7 +386,14 @@ func flatStepperAt(red *degred.Reduced, flat *flatgraph.Graph, at, s, t graph.No
 	if !ok {
 		return nil, fmt.Errorf("dynamic: gadget %d missing from snapshot", entry)
 	}
-	return flat.ResumeRouteStepper(dense, 0, s, t, seq, index, backward, success)
+	return flat.ResumeRouteStepper(walkState(dense, 0, index, backward, success), s, t, seq)
+}
+
+// walkState is a flat round state at a position with the given header and
+// no hops yet: each stepper of a round counts its own segment's hops.
+func walkState(node, inPort int32, index int64, backward, success bool) flatgraph.WalkState {
+	return flatgraph.WalkState{Node: node, InPort: inPort, Index: index, Backward: backward,
+		RouteOutcome: flatgraph.RouteOutcome{Success: success}}
 }
 
 // runRoundFlat drives the round on the compiled flat stepper.
@@ -427,8 +418,8 @@ func (r *Router) runRoundFlat(s, t graph.NodeID, bound int, rt *runState) (netsi
 		if cur.Version == r.w.Version() {
 			// Same topology the cursor was minted on: the dense position is
 			// still valid, re-enter exactly.
-			st, err = flat.ResumeRouteStepper(cur.Node, cur.InPort, s, t, seq,
-				cur.Index, cur.Backward, cur.Success)
+			st, err = flat.ResumeRouteStepper(
+				walkState(cur.Node, cur.InPort, cur.Index, cur.Backward, cur.Success), s, t, seq)
 		} else {
 			// The world moved on: re-enter at the canonical gadget of the
 			// original node, the same rule a mid-walk recompile applies.
@@ -452,7 +443,7 @@ func (r *Router) runRoundFlat(s, t graph.NodeID, bound int, rt *runState) (netsi
 			return netsim.StatusNone, false, err
 		}
 	}
-	sink := r.hopSink(rt, s, t)
+	sink := route.HopSink(rt.sp, s, t)
 	if sink != nil {
 		st.Instrument(sink)
 	}
@@ -506,6 +497,12 @@ func (r *Router) runRoundFlat(s, t graph.NodeID, bound int, rt *runState) (netsi
 	// hop: a frozen-clock walk costs one Err read per round.
 	if rt.ctx != nil && rt.ctx.Err() != nil {
 		exhaust(route.ExhaustDeadline)
+		return netsim.StatusNone, false, nil
+	}
+	if armed && budget <= 0 {
+		// The previous round spent the budget on its last hop: a round's
+		// first activation always hops, so stop before it.
+		exhaust(route.ExhaustBudget)
 		return netsim.StatusNone, false, nil
 	}
 	for !st.Done() {
@@ -585,11 +582,11 @@ func (r *Router) runRoundFlat(s, t graph.NodeID, bound int, rt *runState) (netsi
 		if armed {
 			// The budget pays for message hops, nothing else. Decrementing
 			// after the epoch work keeps the epoch clock identical between a
-			// split and an uninterrupted walk; skipping the check when the
-			// hop delivered keeps a budget that expires exactly at delivery
-			// from stealing the verdict.
+			// split and an uninterrupted walk. The activation delivering the
+			// verdict performs no hop, so a budget spent by the hop that
+			// lands on the source still lets the walk take it.
 			budget--
-			if budget <= 0 && !st.Done() {
+			if budget <= 0 && !st.Delivering() {
 				exhaust(route.ExhaustBudget)
 				return netsim.StatusNone, false, nil
 			}
@@ -614,25 +611,6 @@ func (r *Router) runRoundFlat(s, t graph.NodeID, bound int, rt *runState) (netsi
 	return netsim.StatusFailure, true, nil
 }
 
-// hopSink adapts the round span's hop ring to the flat stepper's sink,
-// stamping each hop with the header size the reference serialization
-// would put on the wire at that index. Returns nil when the round is
-// unsampled, which keeps the stepper on its uninstrumented path.
-func (r *Router) hopSink(rt *runState, s, t graph.NodeID) flatgraph.HopSink {
-	if !rt.sp.Recording() {
-		return nil
-	}
-	sp := rt.sp
-	return func(node graph.NodeID, index int64, backward bool) {
-		sp.Hop(trace.HopEvent{
-			Node:       int64(node),
-			Index:      index,
-			HeaderBits: int32(netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: index}.Bits()),
-			Backward:   backward,
-		})
-	}
-}
-
 // mergeHeaderBits folds a round's peak header size into the result. The
 // largest header any activation observes carries the round's peak index;
 // src, dst, and the dir/status byte are size-constant, so one evaluation
@@ -654,12 +632,11 @@ func (r *Router) mergeHeaderBits(rt *runState, s, t graph.NodeID, maxIdx int64) 
 func (r *Router) flatLookahead(flat *flatgraph.Graph, st *flatgraph.RouteStepper,
 	s, t graph.NodeID, seq flatgraph.Seq) func() (Edge, bool) {
 	return func() (Edge, bool) {
-		node, inPort := st.Position()
-		la, err := flat.ResumeRouteStepper(node, inPort, s, t, seq, st.Index(), st.Backward(), st.Success())
+		la, err := flat.ResumeRouteStepper(st.State(), s, t, seq)
 		if err != nil {
 			return Edge{}, false
 		}
-		prev := node
+		prev, _ := st.Position()
 		for k := 0; k < r.cfg.lookahead(); k++ {
 			if la.Step() {
 				return Edge{}, false
@@ -807,8 +784,8 @@ func (r *Router) refProbe(red *degred.Reduced, flat *flatgraph.Graph, st *netsim
 	}
 	h := st.Header()
 	seq := r.dirs.Seq(r.seqLen(bound))
-	la, err := flat.ResumeRouteStepper(dense, int32(inPort), s, t, seq,
-		h.Index, h.Dir == netsim.Backward, h.Status == netsim.StatusSuccess)
+	la, err := flat.ResumeRouteStepper(
+		walkState(dense, int32(inPort), h.Index, h.Dir == netsim.Backward, h.Status == netsim.StatusSuccess), s, t, seq)
 	if err != nil {
 		return Probe{Active: true, At: orig}, nil
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/route"
 	"repro/internal/trace"
 )
 
@@ -93,8 +94,8 @@ func BenchmarkVecRoute(b *testing.B) {
 
 // BenchmarkBudgetedSharedWorldRoute is the bounded-work perf guard: the
 // identical warm shared-world query as BenchmarkInstrumentedSharedWorldRoute,
-// but through RouteDynamicBudgeted with a deadline context and a hop budget
-// armed — i.e. every robustness feature of this PR live but never striking.
+// but through RouteDynamicQuery with a deadline context and a hop budget
+// armed — every bounded-work feature live but never striking.
 // The acceptance bar (BENCH_PR7.json) is staying within 1% of
 // BENCH_PR6.json's 896.8 ns.
 func BenchmarkBudgetedSharedWorldRoute(b *testing.B) {
@@ -116,7 +117,7 @@ func BenchmarkBudgetedSharedWorldRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RouteDynamicBudgeted(ctx, w, 0, 18, 1<<40, nil, dynamic.Config{HopsPerEpoch: -1}); err != nil {
+		if _, err := e.RouteDynamicQuery(w, route.Query{Ctx: ctx, Src: 0, Dst: 18, Budget: 1 << 40}, dynamic.Config{HopsPerEpoch: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -175,7 +176,7 @@ func BenchmarkUnreachableFullBurn(b *testing.B) {
 }
 
 // BenchmarkArmedUnsampledSharedWorldRoute prices the same warm
-// shared-world query through RouteDynamicTraced with a nil (unsampled)
+// shared-world query through RouteDynamicQuery with a nil (unsampled)
 // span — the cost every request pays when tracing is compiled in and
 // armed but the sampler said no. The acceptance bar is staying within a
 // few ns of BenchmarkInstrumentedSharedWorldRoute.
@@ -196,7 +197,7 @@ func BenchmarkArmedUnsampledSharedWorldRoute(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RouteDynamicTraced(w, 0, 18, dynamic.Config{HopsPerEpoch: -1}, nil); err != nil {
+		if _, err := e.RouteDynamicQuery(w, route.Query{Src: 0, Dst: 18}, dynamic.Config{HopsPerEpoch: -1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -224,7 +225,7 @@ func BenchmarkTracedSharedWorldRoute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := tc.StartRequest("bench", "")
-		if _, err := e.RouteDynamicTraced(w, 0, 18, dynamic.Config{HopsPerEpoch: -1}, tr.Root()); err != nil {
+		if _, err := e.RouteDynamicQuery(w, route.Query{Src: 0, Dst: 18, Span: tr.Root()}, dynamic.Config{HopsPerEpoch: -1}); err != nil {
 			b.Fatal(err)
 		}
 		tr.Finish()

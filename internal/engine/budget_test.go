@@ -63,9 +63,9 @@ func engineRunToVerdict(t *testing.T, e *Engine, s, dst graph.NodeID, budget int
 	t.Helper()
 	var cur *route.Cursor
 	for i := 0; i < 200000; i++ {
-		res, err := e.RouteBudgeted(context.Background(), s, dst, budget, cur)
+		res, err := e.RouteQuery(route.Query{Ctx: context.Background(), Src: s, Dst: dst, Budget: budget, Cursor: cur})
 		if err != nil {
-			t.Fatalf("RouteBudgeted (continuation %d): %v", i, err)
+			t.Fatalf("RouteQuery (continuation %d): %v", i, err)
 		}
 		if res.Exhausted == "" {
 			return res, i
@@ -114,18 +114,18 @@ func TestEngineRouteBudgetedDeadline(t *testing.T) {
 	e := mustCompile(t, gen.Torus(4, 5), Config{Seed: 5})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := e.RouteBudgeted(ctx, 0, 13, 0, nil)
+	res, err := e.RouteQuery(route.Query{Ctx: ctx, Src: 0, Dst: 13})
 	if err != nil {
-		t.Fatalf("RouteBudgeted: %v", err)
+		t.Fatalf("RouteQuery: %v", err)
 	}
 	if res.Exhausted != route.ExhaustDeadline || res.Cursor == nil {
 		t.Fatalf("canceled ctx: exhausted %q, cursor %v", res.Exhausted, res.Cursor)
 	}
-	resumed, err := e.RouteBudgeted(context.Background(), 0, 13, 0, res.Cursor)
+	resumed, err := e.RouteQuery(route.Query{Ctx: context.Background(), Src: 0, Dst: 13, Cursor: res.Cursor})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
-	full, err := e.RouteBudgeted(context.Background(), 0, 13, 0, nil)
+	full, err := e.RouteQuery(route.Query{Ctx: context.Background(), Src: 0, Dst: 13})
 	if err != nil {
 		t.Fatalf("uninterrupted: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestEngineRouteDynamicBudgeted(t *testing.T) {
 	dcfg := dynamic.Config{HopsPerEpoch: 16}
 	sched := func() dynamic.Schedule { return &dynamic.EdgeChurn{Seed: 11, PDrop: 0.08, AddRate: 1} }
 
-	full, err := e.RouteDynamicBudgeted(context.Background(), e.NewWorld(sched()), 0, 18, 0, nil, dcfg)
+	full, err := e.RouteDynamicQuery(e.NewWorld(sched()), route.Query{Ctx: context.Background(), Src: 0, Dst: 18}, dcfg)
 	if err != nil {
 		t.Fatalf("uninterrupted: %v", err)
 	}
@@ -157,7 +157,7 @@ func TestEngineRouteDynamicBudgeted(t *testing.T) {
 	var res *dynamic.Result
 	continuations := 0
 	for {
-		res, err = e.RouteDynamicBudgeted(context.Background(), w, 0, 18, 7, cur, dcfg)
+		res, err = e.RouteDynamicQuery(w, route.Query{Ctx: context.Background(), Src: 0, Dst: 18, Budget: 7, Cursor: cur}, dcfg)
 		if err != nil {
 			t.Fatalf("continuation %d: %v", continuations, err)
 		}
@@ -191,7 +191,7 @@ func TestEngineRouteDynamicBudgeted(t *testing.T) {
 	// O(1), stamped with the world's epoch and version.
 	de := mustCompile(t, disjointGraph(t), Config{Seed: 7})
 	dw := de.NewWorld(dynamic.Static{})
-	dres, err := de.RouteDynamicBudgeted(context.Background(), dw, 0, 102, 0, nil, dynamic.Config{})
+	dres, err := de.RouteDynamicQuery(dw, route.Query{Ctx: context.Background(), Src: 0, Dst: 102}, dynamic.Config{})
 	if err != nil {
 		t.Fatalf("dynamic certificate route: %v", err)
 	}

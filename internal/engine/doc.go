@@ -15,8 +15,9 @@
 //
 // Concurrency contract: Compile (or CompileWithReduced) is the only
 // expensive call and must complete before the engine is shared. After it,
-// every query method — Route, RouteWithPath, Broadcast, Count, Hybrid,
-// RouteDynamic, and the batch entry points — is safe to call from any
+// every query method — Route and RouteQuery, RouteWithPath, Broadcast,
+// Count, Hybrid, RouteDynamic and RouteDynamicQuery, and the batch entry
+// points — is safe to call from any
 // number of goroutines with zero external coordination: construction
 // state is immutable, per-query state lives on the query's stack, and the
 // only shared mutable state is the lock-free sequence cache (append-only

@@ -1,8 +1,6 @@
 package engine
 
 import (
-	"context"
-
 	"repro/internal/dynamic"
 	"repro/internal/graph"
 	"repro/internal/route"
@@ -26,35 +24,20 @@ func (e *Engine) NewWorld(sched dynamic.Schedule) *dynamic.World {
 // engine so dynamic and static queries speak the same protocol; cfg
 // supplies only the dynamics knobs.
 func (e *Engine) RouteDynamic(w *dynamic.World, s, t graph.NodeID, cfg dynamic.Config) (*dynamic.Result, error) {
-	return e.routeDynamic(nil, w, s, t, 0, nil, cfg, nil)
+	return e.RouteDynamicQuery(w, route.Query{Src: s, Dst: t}, cfg)
 }
 
-// RouteDynamicTraced is RouteDynamic recording the evolving walk under
-// sp: one span per round with the hop tail, plus timed events for epoch
-// advances, snapshot resumptions, and aborted rounds. A nil (unsampled)
-// span serves the query exactly like RouteDynamic.
-func (e *Engine) RouteDynamicTraced(w *dynamic.World, s, t graph.NodeID, cfg dynamic.Config, sp *trace.Span) (*dynamic.Result, error) {
-	return e.routeDynamic(nil, w, s, t, 0, nil, cfg, sp)
-}
-
-// RouteDynamicBudgeted is RouteDynamic with bounded work: at most maxHops
-// message hops (0 = unlimited), ctx's deadline honored at round and epoch
-// boundaries, and a resume Cursor minted when either limit strikes so a
-// later call — even after the world has advanced or recompiled — picks the
-// walk up exactly where it stopped. Provably-unreachable pairs on
-// multi-component snapshots are answered in O(1) with a reachability
-// Certificate stamped with the world epoch and version it was computed at.
-func (e *Engine) RouteDynamicBudgeted(ctx context.Context, w *dynamic.World, s, t graph.NodeID, maxHops int64, cur *route.Cursor, cfg dynamic.Config) (*dynamic.Result, error) {
-	return e.routeDynamic(ctx, w, s, t, maxHops, cur, cfg, nil)
-}
-
-// RouteDynamicBudgetedTraced is RouteDynamicBudgeted recording the walk,
-// budget, and resume events under sp.
-func (e *Engine) RouteDynamicBudgetedTraced(ctx context.Context, w *dynamic.World, s, t graph.NodeID, maxHops int64, cur *route.Cursor, cfg dynamic.Config, sp *trace.Span) (*dynamic.Result, error) {
-	return e.routeDynamic(ctx, w, s, t, maxHops, cur, cfg, sp)
-}
-
-func (e *Engine) routeDynamic(ctx context.Context, w *dynamic.World, s, t graph.NodeID, maxHops int64, cur *route.Cursor, cfg dynamic.Config, sp *trace.Span) (*dynamic.Result, error) {
+// RouteDynamicQuery answers q over the evolving world w — the one dynamic
+// entry point behind plain, traced, bounded and resumed walks (see
+// dynamic.Router.RouteQuery). A recording q.Span gets one span per round
+// with the hop tail, plus timed events for epoch advances, snapshot
+// resumptions, and aborted rounds. A budget or deadline mints a resume
+// Cursor when it strikes, so a later query — even after the world has
+// advanced or recompiled — picks the walk up exactly where it stopped.
+// Provably-unreachable pairs on multi-component snapshots are answered in
+// O(1) with a reachability Certificate stamped with the world epoch and
+// version it was computed at.
+func (e *Engine) RouteDynamicQuery(w *dynamic.World, q route.Query, cfg dynamic.Config) (*dynamic.Result, error) {
 	cfg.Seed = e.cfg.Seed
 	cfg.LengthFactor = e.cfg.LengthFactor
 	cfg.KnownN = e.cfg.KnownBound
@@ -65,16 +48,17 @@ func (e *Engine) routeDynamic(ctx context.Context, w *dynamic.World, s, t graph.
 		cfg.DisableCertificates = true
 	}
 	var qsp *trace.Span
-	if sp.Recording() {
-		qsp = sp.Child("engine.route_dynamic")
+	if q.Span.Recording() {
+		qsp = q.Span.Child("engine.route_dynamic")
 		defer qsp.End()
-		qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
+		qsp.SetAttr(trace.Int("src", int64(q.Src)), trace.Int("dst", int64(q.Dst)))
 	}
+	q.Span = qsp
 	start := sampleStart(e.m.dynamicRoutes.Add(1))
-	if cur != nil {
+	if q.Cursor != nil {
 		e.m.resumedWalks.Add(1)
 	}
-	res, err := dynamic.NewRouter(w, cfg, e.dirs).RouteBudgetedTraced(ctx, s, t, maxHops, cur, qsp)
+	res, err := dynamic.NewRouter(w, cfg, e.dirs).RouteQuery(q)
 	e.m.recordDynamic(res, err, start)
 	if qsp.Recording() {
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/dynamic"
 	"repro/internal/gen"
 	"repro/internal/netsim"
+	"repro/internal/route"
 	"repro/internal/trace"
 )
 
@@ -112,7 +113,7 @@ func TestRouteDynamicTracedParity(t *testing.T) {
 
 	tc := trace.New(trace.Config{SampleRate: 1})
 	tr := tc.StartRequest("dynamic", "")
-	got, err := eng.RouteDynamicTraced(mkWorld(eng), 0, 18, cfg, tr.Root())
+	got, err := eng.RouteDynamicQuery(mkWorld(eng), route.Query{Src: 0, Dst: 18, Span: tr.Root()}, cfg)
 	tr.Finish()
 	if err != nil {
 		t.Fatal(err)

@@ -208,63 +208,43 @@ func (e *Engine) Workers() int {
 
 // Route answers one s→t query on the compiled network.
 func (e *Engine) Route(s, t graph.NodeID) (*route.Result, error) {
-	start := sampleStart(e.m.routes.Add(1))
-	res, err := e.router.Route(s, t)
-	e.m.recordRoute(res, err, start)
-	return res, err
+	return e.RouteQuery(route.Query{Src: s, Dst: t})
 }
 
-// RouteTraced is Route recording the walk under sp: a child span for the
-// query, one span per round with the walk's hop tail, and the verdict
-// attributes. A nil (unsampled) span serves the query exactly like Route
-// at a pointer-test's extra cost.
-func (e *Engine) RouteTraced(s, t graph.NodeID, sp *trace.Span) (*route.Result, error) {
-	if !sp.Recording() {
-		return e.Route(s, t)
-	}
-	qsp := sp.Child("engine.route")
-	defer qsp.End()
-	qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
-	start := sampleStart(e.m.routes.Add(1))
-	res, err := e.router.RouteTraced(s, t, qsp)
-	e.m.recordRoute(res, err, start)
-	annotateRoute(qsp, res, err)
-	return res, err
-}
-
-// RouteBudgeted is Route with bounded work: the walk performs at most
-// maxHops message hops (0 = unlimited) and honors ctx's deadline or
-// cancellation at round boundaries. When either limit strikes first the
-// result carries Exhausted and a resume Cursor; pass that cursor back to
-// continue the walk exactly where it stopped. Provably-unreachable pairs
-// on multi-component networks are answered in O(1) with a reachability
+// RouteQuery answers q on the compiled network — the one static entry
+// point behind plain, traced, bounded and resumed routes (see
+// route.Router.RouteQuery). A recording q.Span gets a child span for the
+// query, one span per round segment with the walk's hop tail, and the
+// verdict attributes; a nil (unsampled) span costs a pointer test. A
+// budget or deadline that strikes first yields Exhausted and a resume
+// Cursor to pass back in a later query. Provably-unreachable pairs on
+// multi-component networks are answered in O(1) with a reachability
 // Certificate instead of a walk (unless Config.DisableCertificates).
-func (e *Engine) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor) (*route.Result, error) {
-	return e.routeBudgeted(ctx, s, t, maxHops, cur, nil)
-}
-
-// RouteBudgetedTraced is RouteBudgeted recording the walk, budget, and
-// resume events under sp. A nil (unsampled) span serves the query exactly
-// like RouteBudgeted.
-func (e *Engine) RouteBudgetedTraced(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor, sp *trace.Span) (*route.Result, error) {
-	return e.routeBudgeted(ctx, s, t, maxHops, cur, sp)
-}
-
-func (e *Engine) routeBudgeted(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor, sp *trace.Span) (*route.Result, error) {
+func (e *Engine) RouteQuery(q route.Query) (*route.Result, error) {
 	var qsp *trace.Span
-	if sp.Recording() {
-		qsp = sp.Child("engine.route")
-		defer qsp.End()
-		qsp.SetAttr(trace.Int("src", int64(s)), trace.Int("dst", int64(t)))
+	if q.Span.Recording() {
+		qsp = q.Span.Child("engine.route")
+		qsp.SetAttr(trace.Int("src", int64(q.Src)), trace.Int("dst", int64(q.Dst)))
 	}
+	q.Span = qsp
 	start := sampleStart(e.m.routes.Add(1))
-	if cur != nil {
+	if q.Cursor != nil {
 		e.m.resumedWalks.Add(1)
 	}
-	res, err := e.router.RouteBudgetedTraced(ctx, s, t, maxHops, cur, qsp)
+	res, err := e.router.RouteQuery(q)
 	e.m.recordRoute(res, err, start)
-	annotateRoute(qsp, res, err)
+	if qsp != nil {
+		annotateRoute(qsp, res, err)
+		qsp.End()
+	}
 	return res, err
+}
+
+// RouteBudgeted is RouteQuery with a hop budget (0 = unlimited), ctx's
+// deadline and an optional resume cursor; servebench's in-process layer
+// run times budgeted walks through it.
+func (e *Engine) RouteBudgeted(ctx context.Context, s, t graph.NodeID, maxHops int64, cur *route.Cursor) (*route.Result, error) {
+	return e.RouteQuery(route.Query{Ctx: ctx, Src: s, Dst: t, Budget: maxHops, Cursor: cur})
 }
 
 // annotateRoute records a route result's headline statistics on the query

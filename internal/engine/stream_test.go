@@ -62,7 +62,9 @@ func TestEnginesNeverShareStreams(t *testing.T) {
 // succeeds. The failed rounds' closure checks are answered by the component
 // index instead of a walk over a fresh n′-entry visited set, so the route
 // allocates only its Result and the four growths of its five-entry round
-// list (it allocated 9 times while every failed round walked).
+// list (it allocated 9 times while every failed round walked). A budget
+// that never strikes walks the same allocation-free kernel, so the
+// budgeted query allocates exactly as much.
 func TestWarmGridRouteAllocs(t *testing.T) {
 	e := mustCompile(t, gen.Grid(32, 32), Config{Seed: 3})
 	res, err := e.Route(0, 1023)
@@ -72,12 +74,17 @@ func TestWarmGridRouteAllocs(t *testing.T) {
 	if res.Status != netsim.StatusSuccess || len(res.Rounds) != 5 {
 		t.Fatalf("route 0->1023: %v after %d rounds; the gate is pinned for five", res.Status, len(res.Rounds))
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := e.Route(0, 1023); err != nil {
-			t.Fatal(err)
+	for _, q := range []route.Query{
+		{Src: 0, Dst: 1023},
+		{Src: 0, Dst: 1023, Budget: 1 << 40},
+	} {
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := e.RouteQuery(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 5 {
+			t.Fatalf("warm route (budget %d) allocates %.0f times, want 5", q.Budget, allocs)
 		}
-	})
-	if allocs != 5 {
-		t.Fatalf("warm route allocates %.0f times, want 5", allocs)
 	}
 }

@@ -179,7 +179,7 @@ func TestWalkRejectsIrregular(t *testing.T) {
 	if _, err := f.CoverWalk(0, seq, make([]bool, f.NumNodes()), nil); err != flatgraph.ErrNotRegular {
 		t.Fatalf("CoverWalk on cycle: %v", err)
 	}
-	if _, err := f.RouteStepper(0, 0, 1, seq); err != flatgraph.ErrNotRegular {
+	if _, err := f.ResumeRouteStepper(flatgraph.Origin(0), 0, 1, seq); err != flatgraph.ErrNotRegular {
 		t.Fatalf("RouteStepper on cycle: %v", err)
 	}
 }
@@ -225,7 +225,7 @@ func TestStepperMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.RouteStepper(entry, 0, dst, seq)
+		st, err := f.ResumeRouteStepper(flatgraph.Origin(entry), 0, dst, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,7 +262,7 @@ func TestInstrumentedStepperMatchesWalk(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := f.RouteStepper(entry, 0, dst, seq)
+		st, err := f.ResumeRouteStepper(flatgraph.Origin(entry), 0, dst, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,7 +279,7 @@ func TestInstrumentedStepperMatchesWalk(t *testing.T) {
 		if st.Err() != nil {
 			t.Fatal(st.Err())
 		}
-		if got := st.Outcome(); got != want {
+		if got := st.State().RouteOutcome; got != want {
 			t.Fatalf("dst %d: instrumented outcome %+v, walk %+v", dst, got, want)
 		}
 		if hops != want.Hops {
@@ -290,6 +290,61 @@ func TestInstrumentedStepperMatchesWalk(t *testing.T) {
 		}
 		if !sawBackward {
 			t.Fatalf("dst %d: sink never saw the backward phase", dst)
+		}
+	}
+}
+
+// TestRouteWalkFromSplitsMatchWalk is the kernel's resume differential: a
+// round advanced in segments of k hops — by RouteWalkFrom and by an
+// instrumented stepper's Run — stops at the same states, never spends more
+// than k hops in a segment, and ends with the one-shot walk's exact
+// RouteOutcome. A segment whose hops run out on the hop that lands on the
+// source still delivers, so a limit of exactly the round's hops finishes
+// in one segment.
+func TestRouteWalkFromSplitsMatchWalk(t *testing.T) {
+	g := gen.Grid(4, 4)
+	g.ShuffleLabels(5)
+	red, f := compileReduced(t, g)
+	entryID, _ := red.Entry(0)
+	entry, _ := f.Index(entryID)
+	seq := flatgraph.NewStream(3).Seq(ues.Length(16, 0))
+	for _, dst := range []graph.NodeID{15, 9999} {
+		want, err := f.RouteWalk(entry, 0, dst, seq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []int64{1, 2, 3, 7, 64, want.Hops - 1, want.Hops, want.Hops + 1} {
+			w := flatgraph.Origin(entry)
+			segments := 0
+			for !w.Done {
+				segments++
+				if segments > int(want.Hops)+2 {
+					t.Fatalf("dst %d k %d: walk did not finish", dst, k)
+				}
+				st, err := f.ResumeRouteStepper(w, 0, dst, seq)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st.Instrument(nil)
+				done := st.Run(k)
+				before := w.Hops
+				if err := f.RouteWalkFrom(&w, 0, dst, seq, k); err != nil {
+					t.Fatal(err)
+				}
+				if w.Hops-before > k {
+					t.Fatalf("dst %d k %d: segment spent %d hops", dst, k, w.Hops-before)
+				}
+				if got := st.State(); done != w.Done || got != w {
+					t.Fatalf("dst %d k %d segment %d: stepper stopped at %+v (done %v), kernel at %+v",
+						dst, k, segments, got, done, w)
+				}
+			}
+			if w.RouteOutcome != want {
+				t.Fatalf("dst %d k %d: split outcome %+v, one-shot %+v", dst, k, w.RouteOutcome, want)
+			}
+			if k >= want.Hops && segments != 1 {
+				t.Fatalf("dst %d: limit %d covers the %d-hop round but took %d segments", dst, k, want.Hops, segments)
+			}
 		}
 	}
 }

@@ -123,15 +123,15 @@ func TestWalksAcrossCapMatchPRF(t *testing.T) {
 			t.Fatalf("dst %d: walk %+v, PRF replay (success %v, hops %d, delivered %d)",
 				dst, got, success, hops, delivered)
 		}
-		st, err := f.RouteStepper(0, 0, dst, seq)
+		st, err := f.ResumeRouteStepper(Origin(0), 0, dst, seq)
 		if err != nil {
 			t.Fatal(err)
 		}
 		st.Instrument(nil)
 		for !st.Step() {
 		}
-		if st.Err() != nil || st.Outcome() != want {
-			t.Fatalf("dst %d: stepper %+v (err %v), walk %+v", dst, st.Outcome(), st.Err(), want)
+		if st.Err() != nil || st.State().RouteOutcome != want {
+			t.Fatalf("dst %d: stepper %+v (err %v), walk %+v", dst, st.State().RouteOutcome, st.Err(), want)
 		}
 	}
 

@@ -100,22 +100,12 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 		return res
 	}
 
-	if r.cfg.KnownN > 0 {
-		if err := runRound(r.cfg.KnownN); err != nil {
-			return res, err
-		}
-		return finish(), nil
-	}
-	maxBound := r.cfg.MaxBound
-	if maxBound <= 0 {
-		maxBound = 4 * r.work.NumNodes()
-	}
-	for bound := 4; ; bound *= r.cfg.growth() {
-		if bound > maxBound {
-			bound = maxBound
-		}
+	for bound := r.firstBound(); ; {
 		if err := runRound(bound); err != nil {
 			return res, err
+		}
+		if r.cfg.KnownN > 0 {
+			return finish(), nil // §3's single round at the promised bound
 		}
 		covered, err := r.coverWalk(start, bound)
 		if err != nil {
@@ -125,8 +115,8 @@ func (r *Router) Broadcast(s graph.NodeID) (*BroadcastResult, error) {
 		if covered {
 			return finish(), nil
 		}
-		if bound >= maxBound {
-			return res, fmt.Errorf("%w: bound %d", ErrSequenceExhausted, bound)
+		if bound, err = r.nextBound(bound); err != nil {
+			return res, err
 		}
 	}
 }

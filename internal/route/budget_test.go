@@ -66,20 +66,27 @@ func TestCertificateMatchesWalkVerdicts(t *testing.T) {
 	}
 }
 
-// runToVerdict drives RouteBudgeted with a fixed per-request budget,
-// resuming until a verdict lands. Returns the final result and the number
-// of continuations.
+// runToVerdict drives RouteQuery with a fixed per-request budget,
+// resuming until a verdict lands, and fails if any continuation spends
+// more hops than its budget. Returns the final result and the number of
+// continuations.
 func runToVerdict(t *testing.T, r *Router, s, d graph.NodeID, budget int64) (*Result, int) {
 	t.Helper()
 	var cur *Cursor
+	var spent int64
 	for i := 0; ; i++ {
 		if i > 100000 {
 			t.Fatal("walk did not converge")
 		}
-		res, err := r.RouteBudgeted(context.Background(), s, d, budget, cur)
+		res, err := r.RouteQuery(Query{Ctx: context.Background(), Src: s, Dst: d, Budget: budget, Cursor: cur})
 		if err != nil {
 			t.Fatalf("budgeted route %d->%d (continuation %d): %v", s, d, i, err)
 		}
+		if res.Hops-spent > budget {
+			t.Fatalf("budgeted route %d->%d (continuation %d) spent %d hops on a budget of %d",
+				s, d, i, res.Hops-spent, budget)
+		}
+		spent = res.Hops
 		if res.Exhausted == "" {
 			return res, i
 		}
@@ -95,8 +102,10 @@ func runToVerdict(t *testing.T, r *Router, s, d graph.NodeID, budget int64) (*Re
 
 // TestRouteBudgetedSplitEqualsUninterrupted is the resume differential: a
 // walk split across budget-exhausted continuations must equal the
-// uninterrupted walk on verdict, total hops, header bits, bound, and
-// forward steps.
+// uninterrupted walk on verdict, total hops, header bits, memory peak,
+// bound, and forward steps — and a budget that covers the whole walk must
+// finish it in one call, even when it runs out on the hop that lands on
+// the source.
 func TestRouteBudgetedSplitEqualsUninterrupted(t *testing.T) {
 	u := disjoint(t)
 	r := newRouter(t, u, Config{Seed: 3, DisableCertificates: true})
@@ -112,22 +121,23 @@ func TestRouteBudgetedSplitEqualsUninterrupted(t *testing.T) {
 		if err != nil {
 			t.Fatalf("route %d->%d: %v", p.s, p.d, err)
 		}
-		for _, budget := range []int64{1, 7, 64, 1 << 40} {
+		for _, budget := range []int64{1, 7, 64, want.Hops, 1 << 40} {
 			got, continuations := runToVerdict(t, r, p.s, p.d, budget)
 			if got.Status != want.Status || got.Hops != want.Hops ||
 				got.MaxHeaderBits != want.MaxHeaderBits || got.Bound != want.Bound ||
-				got.ForwardSteps != want.ForwardSteps {
-				t.Fatalf("route %d->%d budget %d: split (st %v, hops %d, hb %d, bound %d, fwd %d) != uninterrupted (st %v, hops %d, hb %d, bound %d, fwd %d)",
+				got.ForwardSteps != want.ForwardSteps || got.PeakMemoryBits != want.PeakMemoryBits {
+				t.Fatalf("route %d->%d budget %d: split (st %v, hops %d, hb %d, bound %d, fwd %d, mem %d) != uninterrupted (st %v, hops %d, hb %d, bound %d, fwd %d, mem %d)",
 					p.s, p.d, budget,
-					got.Status, got.Hops, got.MaxHeaderBits, got.Bound, got.ForwardSteps,
-					want.Status, want.Hops, want.MaxHeaderBits, want.Bound, want.ForwardSteps)
+					got.Status, got.Hops, got.MaxHeaderBits, got.Bound, got.ForwardSteps, got.PeakMemoryBits,
+					want.Status, want.Hops, want.MaxHeaderBits, want.Bound, want.ForwardSteps, want.PeakMemoryBits)
 			}
 			if budget == 1 && continuations < 2 {
 				t.Fatalf("route %d->%d: budget 1 finished in %d continuations over %d hops",
 					p.s, p.d, continuations, want.Hops)
 			}
-			if budget == 1<<40 && continuations != 0 {
-				t.Fatalf("route %d->%d: huge budget still took %d continuations", p.s, p.d, continuations)
+			if budget >= want.Hops && continuations != 0 {
+				t.Fatalf("route %d->%d: budget %d covers the %d-hop walk but took %d continuations",
+					p.s, p.d, budget, want.Hops, continuations)
 			}
 		}
 	}
@@ -137,7 +147,7 @@ func TestRouteBudgetedSplitEqualsUninterrupted(t *testing.T) {
 // for an unreachable pair is answered in O(1) — no hops, no cursor.
 func TestRouteBudgetedCertificate(t *testing.T) {
 	r := newRouter(t, disjoint(t), Config{Seed: 3})
-	res, err := r.RouteBudgeted(context.Background(), 0, 104, 2, nil)
+	res, err := r.RouteQuery(Query{Ctx: context.Background(), Src: 0, Dst: 104, Budget: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,14 +166,14 @@ func TestRouteBudgetedDeadline(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := r.RouteBudgeted(ctx, 0, 24, 0, nil)
+	res, err := r.RouteQuery(Query{Ctx: ctx, Src: 0, Dst: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Exhausted != ExhaustDeadline || res.Cursor == nil {
 		t.Fatalf("expired-context result = %+v", res)
 	}
-	got, err := r.RouteBudgeted(context.Background(), 0, 24, 0, res.Cursor)
+	got, err := r.RouteQuery(Query{Ctx: context.Background(), Src: 0, Dst: 24, Cursor: res.Cursor})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,16 +190,16 @@ func TestRouteBudgetedRejects(t *testing.T) {
 	ctx := context.Background()
 
 	ablated := newRouter(t, g, Config{Seed: 1, NoDegreeReduction: true})
-	if _, err := ablated.RouteBudgeted(ctx, 0, 5, 10, nil); !errors.Is(err, ErrBudgetUnsupported) {
+	if _, err := ablated.RouteQuery(Query{Ctx: ctx, Src: 0, Dst: 5, Budget: 10}); !errors.Is(err, ErrBudgetUnsupported) {
 		t.Fatalf("ablated router error = %v, want ErrBudgetUnsupported", err)
 	}
 	disabled := newRouter(t, g, Config{Seed: 1, DisableFlat: true})
-	if _, err := disabled.RouteBudgeted(ctx, 0, 5, 10, nil); !errors.Is(err, ErrBudgetUnsupported) {
+	if _, err := disabled.RouteQuery(Query{Ctx: ctx, Src: 0, Dst: 5, Budget: 10}); !errors.Is(err, ErrBudgetUnsupported) {
 		t.Fatalf("DisableFlat router error = %v, want ErrBudgetUnsupported", err)
 	}
 
 	r := newRouter(t, g, Config{Seed: 1})
-	res, err := r.RouteBudgeted(ctx, 0, 15, 1, nil)
+	res, err := r.RouteQuery(Query{Ctx: ctx, Src: 0, Dst: 15, Budget: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,24 +208,24 @@ func TestRouteBudgetedRejects(t *testing.T) {
 	}
 	cur := *res.Cursor
 	cur.Dst = 3
-	if _, err := r.RouteBudgeted(ctx, 0, 15, 1, &cur); !errors.Is(err, ErrBadCursor) {
+	if _, err := r.RouteQuery(Query{Ctx: ctx, Src: 0, Dst: 15, Budget: 1, Cursor: &cur}); !errors.Is(err, ErrBadCursor) {
 		t.Fatalf("mismatched-pair cursor error = %v, want ErrBadCursor", err)
 	}
 	cur = *res.Cursor
 	cur.Version = 99
-	if _, err := r.RouteBudgeted(ctx, 0, 15, 1, &cur); !errors.Is(err, ErrBadCursor) {
+	if _, err := r.RouteQuery(Query{Ctx: ctx, Src: 0, Dst: 15, Budget: 1, Cursor: &cur}); !errors.Is(err, ErrBadCursor) {
 		t.Fatalf("dynamic-version cursor error = %v, want ErrBadCursor", err)
 	}
 	cur = *res.Cursor
 	cur.Node = 1 << 30
-	if _, err := r.RouteBudgeted(ctx, 0, 15, 1, &cur); !errors.Is(err, ErrBadCursor) {
+	if _, err := r.RouteQuery(Query{Ctx: ctx, Src: 0, Dst: 15, Budget: 1, Cursor: &cur}); !errors.Is(err, ErrBadCursor) {
 		t.Fatalf("out-of-range cursor error = %v, want ErrBadCursor", err)
 	}
 
-	if res, err := r.RouteBudgeted(ctx, 9, 9, 1, nil); err != nil || res.Status != netsim.StatusSuccess {
+	if res, err := r.RouteQuery(Query{Ctx: ctx, Src: 9, Dst: 9, Budget: 1}); err != nil || res.Status != netsim.StatusSuccess {
 		t.Fatalf("self route = %+v, %v", res, err)
 	}
-	if _, err := r.RouteBudgeted(ctx, 4242, 0, 1, nil); !errors.Is(err, graph.ErrNodeNotFound) {
+	if _, err := r.RouteQuery(Query{Ctx: ctx, Src: 4242, Dst: 0, Budget: 1}); !errors.Is(err, graph.ErrNodeNotFound) {
 		t.Fatalf("missing source error = %v", err)
 	}
 }

@@ -72,7 +72,7 @@ func TestCoverSkipKeepsTraceEvents(t *testing.T) {
 	r := newRouter(t, gen.Grid(8, 8), Config{Seed: 5})
 	tc := trace.New(trace.Config{SampleRate: 1})
 	tr := tc.StartRequest("route", "")
-	res, err := r.RouteTraced(0, 63, tr.Root())
+	res, err := r.RouteQuery(Query{Src: 0, Dst: 63, Span: tr.Root()})
 	tr.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -128,12 +128,12 @@ func TestBudgetedCertificateEventMatchesUnbudgeted(t *testing.T) {
 	r := newRouter(t, disjoint(t), Config{Seed: 7})
 	for _, dst := range []graph.NodeID{100, 424242} {
 		plain := certificateEvent(t, func(sp *trace.Span) {
-			if _, err := r.RouteTraced(0, dst, sp); err != nil {
+			if _, err := r.RouteQuery(Query{Src: 0, Dst: dst, Span: sp}); err != nil {
 				t.Fatal(err)
 			}
 		})
 		budgeted := certificateEvent(t, func(sp *trace.Span) {
-			if _, err := r.RouteBudgetedTraced(context.Background(), 0, dst, 1000, nil, sp); err != nil {
+			if _, err := r.RouteQuery(Query{Ctx: context.Background(), Src: 0, Dst: dst, Budget: 1000, Span: sp}); err != nil {
 				t.Fatal(err)
 			}
 		})

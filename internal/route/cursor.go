@@ -94,4 +94,7 @@ type Cursor struct {
 	Resumptions   int `json:"resumptions,omitempty"`
 	SinceEpoch    int `json:"since_epoch,omitempty"`
 	MaxHeaderBits int `json:"max_header_bits"`
+	// PeakMemoryBits is the per-activation memory peak so far (the static
+	// router meters it; a dynamic cursor leaves it 0).
+	PeakMemoryBits int `json:"peak_memory_bits,omitempty"`
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/degred"
+	"repro/internal/flatgraph"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/prng"
@@ -172,7 +173,7 @@ func TestFlatStepperMatchesReferenceTrace(t *testing.T) {
 			if !ok {
 				t.Fatalf("entry %d not in snapshot", start)
 			}
-			st, err := fast.flat.RouteStepper(si, s, dst, fs)
+			st, err := fast.flat.ResumeRouteStepper(flatgraph.Origin(si), s, dst, fs)
 			if err != nil {
 				t.Fatal(err)
 			}

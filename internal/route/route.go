@@ -24,8 +24,10 @@
 package route
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/degred"
@@ -133,15 +135,18 @@ func (c Config) growth() int {
 
 // Router routes messages on a fixed graph. It precomputes the degree
 // reduction once; Route/Broadcast calls are independent and reusable.
+// RouteQuery is the one route entry point: a Query carries the pair plus
+// an optional deadline, hop budget, resume cursor and trace span, and
+// Route is RouteQuery with only the pair set.
 //
 // Two execution paths serve each query. The hot path walks the compiled
 // CSR snapshot of G′ (package flatgraph) in an allocation-free loop; the
 // reference path drives the stateless per-node handlers through the netsim
 // token engine. They are hop-for-hop identical (pinned by differential
 // tests); the reference runs whenever a configuration needs its
-// instrumentation — tracing, fault injection, wire-format round-trips,
-// custom memory budgets, restart confirmation, non-PRF sequences, or the
-// no-reduction ablation.
+// instrumentation — netsim tracing (Config.Trace), fault injection,
+// wire-format round-trips, custom memory budgets, restart confirmation,
+// non-PRF sequences, or the no-reduction ablation.
 type Router struct {
 	orig *graph.Graph
 	red  *degred.Reduced // nil iff cfg.NoDegreeReduction
@@ -245,234 +250,379 @@ func DefaultMemoryBudget(n int) int {
 	return 64*(bits.Len(uint(n))+4) + 512
 }
 
+// Query is one route request. Src and Dst name the pair; every other
+// field's zero value means the plain walk: Ctx nil has no deadline, Budget
+// 0 no hop limit, Cursor nil a fresh walk, and Span nil no tracing.
+type Query struct {
+	// Ctx's deadline or cancellation is honored at round starts, never per
+	// hop; when it strikes the walk stops with ExhaustDeadline.
+	Ctx context.Context
+	// Src and Dst are the route's endpoints.
+	Src, Dst graph.NodeID
+	// Budget caps the message hops this call performs; when it strikes
+	// the walk stops with ExhaustBudget. ≤ 0 is unlimited.
+	Budget int64
+	// Cursor continues a walk an earlier call stopped (Result.Cursor).
+	Cursor *Cursor
+	// Span records the loop's events and, on the flat path, one
+	// "route.round" child span per round segment with its hop tail.
+	Span *trace.Span
+}
+
+// Bounded reports whether q asks for bounded work — a deadline, a budget
+// or a resume — which only the compiled flat path supports.
+func (q Query) Bounded() bool { return q.Ctx != nil || q.Budget > 0 || q.Cursor != nil }
+
 // Route sends a message from s to t and returns the outcome learned at s.
 // Routing to t == s succeeds trivially with zero hops. t need not exist in
 // the graph — a name outside the component yields StatusFailure, which is
 // the point of guaranteed termination.
 func (r *Router) Route(s, t graph.NodeID) (*Result, error) {
-	return r.route(s, t, nil)
+	return r.RouteQuery(Query{Src: s, Dst: t})
 }
 
-// RouteTraced is Route recording per-round spans and per-hop walk events
-// under sp. Traced rounds stay on the compiled flat path — the
-// instrumented stepper reproduces RouteWalk's exact outcome while feeding
-// the span's hop ring — so tracing never changes which execution path a
-// query takes. A nil (unsampled) span routes identically to Route.
-func (r *Router) RouteTraced(s, t graph.NodeID, sp *trace.Span) (*Result, error) {
-	return r.route(s, t, sp)
-}
-
-func (r *Router) route(s, t graph.NodeID, sp *trace.Span) (*Result, error) {
+// RouteQuery answers q with the doubling loop of §4 — the one loop behind
+// every static route, plain, traced, bounded or resumed. A walk's
+// whole state is its Cursor (§3's header plus a position), so a fresh walk
+// is a resume from the origin cursor, and a walk split across
+// continuations is hop-for-hop the uninterrupted one: same verdict, hops,
+// forward steps, header and memory metering (pinned by differential
+// tests).
+//
+// When q's budget or deadline strikes first, the Result has Status none,
+// Exhausted set, and a Cursor to pass back in a later Query. Bounded
+// queries run only on the compiled flat path; instrumented or ablated
+// configurations return ErrBudgetUnsupported for them. Tracing never
+// changes the path a query takes: a traced round runs on the instrumented
+// flat stepper, whose outcome equals the kernel's.
+func (r *Router) RouteQuery(q Query) (*Result, error) {
+	s, t, sp := q.Src, q.Dst, q.Span
+	if q.Bounded() && !r.flatConfig() {
+		return nil, ErrBudgetUnsupported
+	}
 	if !r.orig.HasNode(s) {
 		return nil, fmt.Errorf("route: source: %w: %d", graph.ErrNodeNotFound, s)
 	}
 	if s == t {
 		return &Result{Status: netsim.StatusSuccess}, nil
 	}
+	cur := q.Cursor
+	if err := r.checkCursor(cur, s, t); err != nil {
+		return nil, err
+	}
 	start, err := r.entry(s)
 	if err != nil {
 		return nil, err
 	}
 	res := &Result{}
-	if cert := r.unreachableCert(start, t); cert != nil {
-		res.Status = netsim.StatusFailure
-		res.Certificate = cert
-		if sp.Recording() {
-			sp.Event("route.certificate",
-				trace.Int("src_component", int64(cert.SrcComponent)),
-				trace.Int("dst_component", int64(cert.DstComponent)),
-				trace.Int("components", int64(cert.Components)))
+	if cur == nil {
+		if cert := r.unreachableCert(start, t); cert != nil {
+			res.Status = netsim.StatusFailure
+			res.Certificate = cert
+			if sp.Recording() {
+				sp.Event("route.certificate",
+					trace.Int("src_component", int64(cert.SrcComponent)),
+					trace.Int("dst_component", int64(cert.DstComponent)),
+					trace.Int("components", int64(cert.Components)))
+			}
+			return res, nil
 		}
-		return res, nil
 	}
-	// runRound executes one round at the given bound. delivered reports
-	// whether the source learned an outcome; with ConfirmRestart a round
-	// can end inconclusively (the confirmation leg exhausted its
-	// sequence), which the doubling loop treats like an uncovered failure.
-	runRound := func(bound int) (st netsim.Status, delivered bool, err error) {
-		seq := r.sequence(bound)
-		if fs, ok := r.flatSeq(seq); ok {
-			return r.flatRound(start, s, t, fs, bound, res, sp)
+	var origin flatgraph.WalkState // a fresh round's flat state
+	if r.flat != nil {
+		si, ok := r.flat.Index(start)
+		if !ok {
+			return nil, fmt.Errorf("route: %w: %d", graph.ErrNodeNotFound, start)
 		}
-		h := netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Status: netsim.StatusNone, Index: 1}
-		eng := netsim.NewEngine(r.work,
-			&routeHandler{seq: seq, originalOf: r.originalOf(), confirm: r.cfg.Confirm},
-			r.engineOptions()...)
-		out, err := eng.Run(start, 0, h, 2*int64(seq.Len())+8)
-		stat := RoundStat{Bound: bound, SeqLen: seq.Len()}
-		if out != nil {
-			stat.Hops = out.Hops
-			res.Hops += out.Hops
-			if out.MaxHeaderBits > res.MaxHeaderBits {
-				res.MaxHeaderBits = out.MaxHeaderBits
-			}
-			if out.PeakMemoryBits > res.PeakMemoryBits {
-				res.PeakMemoryBits = out.PeakMemoryBits
-			}
+		origin = flatgraph.Origin(si)
+	}
+	bound, w, rounds := r.firstBound(), origin, 1
+	if cur != nil {
+		bound, rounds = cur.Bound, cur.Rounds
+		w = flatgraph.WalkState{
+			Node: cur.Node, InPort: cur.InPort, Index: cur.Index, Backward: cur.Backward,
+			RouteOutcome: flatgraph.RouteOutcome{Success: cur.Success, Hops: cur.RoundHops,
+				MaxIndex: cur.MaxIndex, PeakMemoryBits: cur.PeakMemoryBits},
 		}
-		if err != nil {
-			return netsim.StatusNone, false, err
-		}
-		if !out.Delivered {
-			if r.cfg.Confirm == ConfirmRestart {
-				// Inconclusive: the restart confirmation ran out of
-				// sequence before reaching s.
-				stat.Outcome = netsim.StatusNone
-				res.Rounds = append(res.Rounds, stat)
-				res.Bound = bound
-				return netsim.StatusNone, false, nil
-			}
-			return netsim.StatusNone, false, fmt.Errorf("route: message dropped at %d", out.Final)
-		}
-		stat.Outcome = out.Header.Status
-		if out.Header.Status == netsim.StatusSuccess {
-			// Reconstruct the exploration index at which t was found.
-			// Backtrack: forward steps f and back steps b satisfy
-			// f + b = hops and b = f - indexAtDelivery, so
-			// f = (hops + index) / 2. Restart: the confirmation leg took
-			// index-1 steps after the turnaround reset the index to 1, so
-			// f = hops - (index - 1).
-			if r.cfg.Confirm == ConfirmRestart {
-				res.ForwardSteps = stat.Hops - (out.Header.Index - 1)
-			} else {
-				res.ForwardSteps = (stat.Hops + out.Header.Index) / 2
-			}
-		}
+		res.Hops, res.MaxHeaderBits, res.PeakMemoryBits = cur.Hops, cur.MaxHeaderBits, cur.PeakMemoryBits
 		if sp.Recording() {
-			sp.Event("route.round.netsim",
-				trace.Int("bound", int64(bound)),
-				trace.Int("hops", stat.Hops),
-				trace.String("outcome", stat.Outcome.String()))
+			sp.Event("route.cursor_resume",
+				trace.Int("bound", int64(bound)), trace.Int("index", cur.Index),
+				trace.Int("round_hops", cur.RoundHops))
+		}
+	}
+	room := q.Budget
+	if room <= 0 {
+		room = math.MaxInt64
+	}
+	for {
+		if q.Ctx != nil && q.Ctx.Err() != nil {
+			return r.exhaust(res, &w, s, t, bound, rounds, ExhaustDeadline, sp), nil
+		}
+		seq := r.sequence(bound)
+		var stat RoundStat
+		delivered := true
+		if fs, ok := r.flatSeq(seq); ok {
+			spent := w.Hops
+			err := r.walkSegment(&w, s, t, fs, bound, room, sp)
+			room -= w.Hops - spent
+			if err != nil {
+				res.Hops += w.Hops
+				return res, fmt.Errorf("route: flat walk: %w", err)
+			}
+			if !w.Done {
+				return r.exhaust(res, &w, s, t, bound, rounds, ExhaustBudget, sp), nil
+			}
+			stat = r.foldFlat(res, &w, s, t, bound, fs.Length)
+		} else if q.Bounded() {
+			return res, ErrBudgetUnsupported
+		} else if stat, delivered, err = r.netsimRound(start, s, t, seq, bound, res, sp); err != nil {
+			return res, err
 		}
 		res.Rounds = append(res.Rounds, stat)
 		res.Bound = bound
-		return out.Header.Status, true, nil
+		verdict, next, err := r.afterRound(start, t, &res.Rounds[len(res.Rounds)-1], delivered, sp)
+		if err != nil || verdict != netsim.StatusNone {
+			res.Status = verdict
+			return res, err
+		}
+		bound, w = next, origin
+		rounds++
 	}
+}
 
+// firstBound is the doubling loop's first bound: the promised KnownN, else
+// 4 clamped to the cap.
+func (r *Router) firstBound() int {
 	if r.cfg.KnownN > 0 {
-		st, delivered, err := runRound(r.cfg.KnownN)
-		if err != nil {
-			return res, err
-		}
+		return r.cfg.KnownN
+	}
+	return min(4, r.maxBound())
+}
+
+// maxBound is the doubling loop's cap (default 4·|V(G′)|, always
+// sufficient for a universal sequence).
+func (r *Router) maxBound() int {
+	if r.cfg.MaxBound > 0 {
+		return r.cfg.MaxBound
+	}
+	return 4 * r.work.NumNodes()
+}
+
+// nextBound grows an undecided round's bound, clamped to the cap; a round
+// already at the cap is ErrSequenceExhausted.
+func (r *Router) nextBound(bound int) (int, error) {
+	maxBound := r.maxBound()
+	if bound >= maxBound {
+		return 0, fmt.Errorf("%w: bound %d", ErrSequenceExhausted, bound)
+	}
+	return min(bound*r.cfg.growth(), maxBound), nil
+}
+
+// afterRound is the doubling loop's step after a round ended: the verdict
+// if the round decided the query, else the next round's bound. A success
+// is the verdict; under KnownN so is a failure (§3's single round). A
+// delivered failure is definitive iff T_bound covered the source
+// component — the §4 closure check, whose answer lands in stat.Covered.
+// An undecided round takes nextBound. delivered is false only for a
+// restart-confirmation round that ended inconclusively.
+func (r *Router) afterRound(start, t graph.NodeID, stat *RoundStat, delivered bool, sp *trace.Span) (verdict netsim.Status, next int, err error) {
+	if stat.Outcome == netsim.StatusSuccess {
+		return netsim.StatusSuccess, 0, nil
+	}
+	if r.cfg.KnownN > 0 {
 		if !delivered {
-			return res, fmt.Errorf("%w: bound %d (restart confirmation inconclusive)",
-				ErrSequenceExhausted, r.cfg.KnownN)
+			return netsim.StatusNone, 0, fmt.Errorf("%w: bound %d (restart confirmation inconclusive)",
+				ErrSequenceExhausted, stat.Bound)
 		}
-		res.Status = st
-		return res, nil
+		return netsim.StatusFailure, 0, nil
 	}
-
-	maxBound := r.cfg.MaxBound
-	if maxBound <= 0 {
-		maxBound = 4 * r.work.NumNodes()
-	}
-	growth := r.cfg.growth()
-	for bound := 4; ; bound *= growth {
-		if bound > maxBound {
-			bound = maxBound
-		}
-		st, delivered, err := runRound(bound)
+	if delivered {
+		covered, err := r.covered(start, t, stat.Bound)
 		if err != nil {
-			return res, err
+			return netsim.StatusNone, 0, err
 		}
-		if st == netsim.StatusSuccess {
-			res.Status = st
-			return res, nil
+		if sp.Recording() {
+			sp.Event("route.cover_check",
+				trace.Int("bound", int64(stat.Bound)), trace.Bool("covered", covered))
 		}
-		if delivered && st == netsim.StatusFailure {
-			// Failed round: decide whether the failure is definitive by
-			// the §4 closure check — did T_bound cover the source
-			// component?
-			covered, err := r.covered(start, t, bound)
-			if err != nil {
-				return res, err
-			}
-			if sp.Recording() {
-				sp.Event("route.cover_check",
-					trace.Int("bound", int64(bound)), trace.Bool("covered", covered))
-			}
-			res.Rounds[len(res.Rounds)-1].Covered = covered
-			if covered {
-				res.Status = netsim.StatusFailure
-				return res, nil
-			}
-		}
-		if bound >= maxBound {
-			return res, fmt.Errorf("%w: bound %d", ErrSequenceExhausted, bound)
+		stat.Covered = covered
+		if covered {
+			return netsim.StatusFailure, 0, nil
 		}
 	}
+	next, err = r.nextBound(stat.Bound)
+	return netsim.StatusNone, next, err
 }
 
-// flatRound runs one round on the compiled flat walker and folds its
-// outcome into res exactly as the reference round does: same RoundStat,
-// same hop totals, same header-size and memory-metering statistics, same
-// forward-steps reconstruction.
-func (r *Router) flatRound(start, s, t graph.NodeID, fs flatgraph.Seq, bound int, res *Result, sp *trace.Span) (netsim.Status, bool, error) {
-	si, ok := r.flat.Index(start)
-	if !ok {
-		return netsim.StatusNone, false, fmt.Errorf("route: %w: %d", graph.ErrNodeNotFound, start)
+// checkCursor rejects a resume cursor that does not belong to this static
+// router and pair.
+func (r *Router) checkCursor(cur *Cursor, s, t graph.NodeID) error {
+	if cur == nil {
+		return nil
 	}
-	var out flatgraph.RouteOutcome
-	var err error
-	if sp.Recording() {
-		out, err = r.flatRoundTraced(si, s, t, fs, bound, sp)
-	} else {
-		out, err = r.flat.RouteWalk(si, s, t, fs)
+	if cur.Src != s || cur.Dst != t {
+		return fmt.Errorf("%w: cursor is for %d->%d, request is for %d->%d",
+			ErrBadCursor, cur.Src, cur.Dst, s, t)
 	}
-	stat := RoundStat{Bound: bound, SeqLen: fs.Length, Hops: out.Hops}
-	res.Hops += out.Hops
-	// The largest header any activation observes carries the walk's peak
-	// index; src, dst, and the dir/status byte are size-constant across the
-	// round, so one evaluation at the peak index reproduces the reference's
-	// per-activation maximum.
-	hb := netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: out.MaxIndex}.Bits()
-	if hb > res.MaxHeaderBits {
-		res.MaxHeaderBits = hb
+	if cur.Version != 0 {
+		return fmt.Errorf("%w: dynamic-world cursor (version %d) on a static router",
+			ErrBadCursor, cur.Version)
 	}
-	if out.PeakMemoryBits > res.PeakMemoryBits {
-		res.PeakMemoryBits = out.PeakMemoryBits
+	if cur.Bound < 1 || cur.Index < 0 {
+		return fmt.Errorf("%w: bound %d, index %d", ErrBadCursor, cur.Bound, cur.Index)
 	}
-	if err != nil {
-		return netsim.StatusNone, false, fmt.Errorf("route: flat walk: %w", err)
+	if err := r.flat.CheckPosition(cur.Node, cur.InPort); err != nil {
+		return fmt.Errorf("%w: %v", ErrBadCursor, err)
 	}
-	st := netsim.StatusFailure
-	if out.Success {
-		st = netsim.StatusSuccess
-		// Same reconstruction as the reference: forward steps f and back
-		// steps b satisfy f + b = hops and b = f - indexAtDelivery.
-		res.ForwardSteps = (out.Hops + out.DeliveredIndex) / 2
-	}
-	stat.Outcome = st
-	res.Rounds = append(res.Rounds, stat)
-	res.Bound = bound
-	return st, true, nil
+	return nil
 }
 
-// flatRoundTraced runs one flat round hop-at-a-time on the instrumented
-// stepper, recording a child span whose hop ring keeps the tail of the
-// walk. The stepper's metering replica makes its Outcome identical to
-// RouteWalk's, so tracing is invisible in the Result.
-func (r *Router) flatRoundTraced(si int32, s, t graph.NodeID, fs flatgraph.Seq, bound int, sp *trace.Span) (flatgraph.RouteOutcome, error) {
+// walkSegment advances the flat round in w by at most room hops. An
+// untraced segment runs the allocation-free RouteWalkFrom kernel; a traced
+// one runs the instrumented stepper under a "route.round" span that keeps
+// the segment's hop tail. Both stop at the same place with the same
+// metering.
+func (r *Router) walkSegment(w *flatgraph.WalkState, s, t graph.NodeID, fs flatgraph.Seq, bound int, room int64, sp *trace.Span) error {
+	if !sp.Recording() {
+		return r.flat.RouteWalkFrom(w, s, t, fs, room)
+	}
 	rsp := sp.Child("route.round")
 	defer rsp.End()
 	rsp.SetAttr(trace.Int("bound", int64(bound)), trace.Int("seq_len", int64(fs.Length)))
-	st, err := r.flat.RouteStepper(si, s, t, fs)
+	st, err := r.flat.ResumeRouteStepper(*w, s, t, fs)
 	if err != nil {
-		return flatgraph.RouteOutcome{}, err
+		return err
 	}
-	st.Instrument(func(node graph.NodeID, index int64, backward bool) {
-		rsp.Hop(trace.HopEvent{
+	st.Instrument(HopSink(rsp, s, t))
+	st.Run(room)
+	*w = st.State()
+	if w.Done {
+		rsp.SetAttr(trace.Bool("success", w.Success))
+	}
+	rsp.SetAttr(trace.Int("hops", w.Hops))
+	return st.Err()
+}
+
+// HopSink returns the flat stepper sink that records each hop of an s→t
+// walk on sp's hop ring, stamped with the header size the reference
+// serialization would put on the wire at that index. It is nil when sp is
+// not recording, which keeps a stepper on its uninstrumented path.
+func HopSink(sp *trace.Span, s, t graph.NodeID) flatgraph.HopSink {
+	if !sp.Recording() {
+		return nil
+	}
+	return func(node graph.NodeID, index int64, backward bool) {
+		sp.Hop(trace.HopEvent{
 			Node:       int64(node),
 			Index:      index,
 			HeaderBits: int32(netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: index}.Bits()),
 			Backward:   backward,
 		})
-	})
-	for !st.Step() {
 	}
-	out := st.Outcome()
-	rsp.SetAttr(trace.Bool("success", out.Success), trace.Int("hops", out.Hops))
-	return out, st.Err()
+}
+
+// foldFlat folds a delivered flat round into res exactly as the reference
+// round does: same RoundStat, same hop totals, same header-size and
+// memory-metering statistics, same forward-steps reconstruction.
+func (r *Router) foldFlat(res *Result, w *flatgraph.WalkState, s, t graph.NodeID, bound, seqLen int) RoundStat {
+	res.Hops += w.Hops
+	r.foldMetering(res, w, s, t)
+	stat := RoundStat{Bound: bound, SeqLen: seqLen, Hops: w.Hops, Outcome: netsim.StatusFailure}
+	if w.Success {
+		stat.Outcome = netsim.StatusSuccess
+		// Same reconstruction as the reference: forward steps f and back
+		// steps b satisfy f + b = hops and b = f - indexAtDelivery.
+		res.ForwardSteps = (w.Hops + w.DeliveredIndex) / 2
+	}
+	return stat
+}
+
+// foldMetering merges a flat round's header and memory peaks into res. The
+// largest header any activation observes carries the round's peak index;
+// src, dst, and the dir/status byte are size-constant across the round, so
+// one evaluation at the peak index reproduces the reference's
+// per-activation maximum.
+func (r *Router) foldMetering(res *Result, w *flatgraph.WalkState, s, t graph.NodeID) {
+	hb := netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Index: w.MaxIndex}.Bits()
+	res.MaxHeaderBits = max(res.MaxHeaderBits, hb)
+	res.PeakMemoryBits = max(res.PeakMemoryBits, w.PeakMemoryBits)
+}
+
+// exhaust stops a bounded walk without a verdict: res reports the hops so
+// far, and its Cursor holds the walk — the in-flight round's hops kept
+// apart in RoundHops, so the continued round folds in without double
+// counting.
+func (r *Router) exhaust(res *Result, w *flatgraph.WalkState, s, t graph.NodeID, bound, rounds int, reason ExhaustReason, sp *trace.Span) *Result {
+	r.foldMetering(res, w, s, t)
+	res.Cursor = &Cursor{
+		Src: s, Dst: t, Bound: bound,
+		Node: w.Node, InPort: w.InPort, At: r.flat.OriginalOf(w.Node),
+		Index: w.Index, Backward: w.Backward, Success: w.Success,
+		Hops: res.Hops, RoundHops: w.Hops, MaxIndex: w.MaxIndex,
+		Rounds: rounds, MaxHeaderBits: res.MaxHeaderBits, PeakMemoryBits: res.PeakMemoryBits,
+	}
+	res.Hops += w.Hops
+	res.Exhausted = reason
+	res.Bound = bound
+	if sp.Recording() {
+		sp.Event("route.budget_exhausted",
+			trace.String("reason", string(reason)),
+			trace.Int("hops", res.Hops), trace.Int("bound", int64(bound)))
+	}
+	return res
+}
+
+// netsimRound runs one round on the netsim reference engine, for the
+// configurations whose instrumentation the flat path does not replicate.
+// delivered reports whether the source learned an outcome; with
+// ConfirmRestart a round can end inconclusively (the confirmation leg
+// exhausted its sequence), which the doubling loop treats like an
+// uncovered failure.
+func (r *Router) netsimRound(start, s, t graph.NodeID, seq ues.Sequence, bound int, res *Result, sp *trace.Span) (stat RoundStat, delivered bool, err error) {
+	h := netsim.Header{Src: s, Dst: t, Dir: netsim.Forward, Status: netsim.StatusNone, Index: 1}
+	eng := netsim.NewEngine(r.work,
+		&routeHandler{seq: seq, originalOf: r.originalOf(), confirm: r.cfg.Confirm},
+		r.engineOptions()...)
+	out, err := eng.Run(start, 0, h, 2*int64(seq.Len())+8)
+	stat = RoundStat{Bound: bound, SeqLen: seq.Len()}
+	if out != nil {
+		stat.Hops = out.Hops
+		res.Hops += out.Hops
+		res.MaxHeaderBits = max(res.MaxHeaderBits, out.MaxHeaderBits)
+		res.PeakMemoryBits = max(res.PeakMemoryBits, out.PeakMemoryBits)
+	}
+	if err != nil {
+		return stat, false, err
+	}
+	if !out.Delivered {
+		if r.cfg.Confirm == ConfirmRestart {
+			// Inconclusive: the restart confirmation ran out of sequence
+			// before reaching s.
+			return stat, false, nil
+		}
+		return stat, false, fmt.Errorf("route: message dropped at %d", out.Final)
+	}
+	stat.Outcome = out.Header.Status
+	if out.Header.Status == netsim.StatusSuccess {
+		// Reconstruct the exploration index at which t was found.
+		// Backtrack: forward steps f and back steps b satisfy f + b = hops
+		// and b = f - indexAtDelivery, so f = (hops + index) / 2. Restart:
+		// the confirmation leg took index-1 steps after the turnaround
+		// reset the index to 1, so f = hops - (index - 1).
+		if r.cfg.Confirm == ConfirmRestart {
+			res.ForwardSteps = stat.Hops - (out.Header.Index - 1)
+		} else {
+			res.ForwardSteps = (stat.Hops + out.Header.Index) / 2
+		}
+	}
+	if sp.Recording() {
+		sp.Event("route.round.netsim",
+			trace.Int("bound", int64(bound)),
+			trace.Int("hops", stat.Hops),
+			trace.String("outcome", stat.Outcome.String()))
+	}
+	return stat, true, nil
 }
 
 // unreachableCert answers the reachability question from the memoized
@@ -489,32 +639,36 @@ func (r *Router) flatRoundTraced(si int32, s, t graph.NodeID, fs flatgraph.Seq, 
 // keeps the reachable hot path at two loads and keeps the static and
 // dynamic routers answer-for-answer identical.
 func (r *Router) unreachableCert(start graph.NodeID, t graph.NodeID) *Certificate {
-	if r.cfg.DisableCertificates || r.flat == nil {
+	if r.cfg.DisableCertificates || r.flat == nil || r.flat.Components().Count() == 1 {
 		return nil
 	}
-	comps := r.flat.Components()
-	if comps.Count() == 1 {
+	sc, tc, ok := r.components(start, t)
+	if !ok || tc == sc {
 		return nil
+	}
+	return &Certificate{SrcComponent: sc, DstComponent: tc, Components: r.flat.Components().Count()}
+}
+
+// components returns the snapshot's component ids of start and of t's
+// entry gadget, -1 when t is not a node of the graph at all (unreachable
+// by definition); ok is false without a snapshot (the no-reduction
+// ablation).
+func (r *Router) components(start, t graph.NodeID) (sc, tc int32, ok bool) {
+	if r.flat == nil {
+		return 0, 0, false
 	}
 	si, ok := r.flat.Index(start)
 	if !ok {
-		return nil
+		return 0, 0, false
 	}
-	sc := comps.Of(si)
-	te, ok := r.red.Entry(t)
-	if !ok {
-		// t is not a node of the graph at all: unreachable by definition.
-		return &Certificate{SrcComponent: sc, DstComponent: -1, Components: comps.Count()}
+	comps := r.flat.Components()
+	sc, tc = comps.Of(si), -1
+	if te, ok := r.red.Entry(t); ok {
+		if ti, ok := r.flat.Index(te); ok {
+			tc = comps.Of(ti)
+		}
 	}
-	ti, ok := r.flat.Index(te)
-	if !ok {
-		return &Certificate{SrcComponent: sc, DstComponent: -1, Components: comps.Count()}
-	}
-	tc := comps.Of(ti)
-	if tc == sc {
-		return nil
-	}
-	return &Certificate{SrcComponent: sc, DstComponent: tc, Components: comps.Count()}
+	return sc, tc, true
 }
 
 // entry maps an original node to its walk entry point.
@@ -568,15 +722,22 @@ func (r *Router) sequence(bound int) ues.Sequence {
 	return p.Compiled()
 }
 
+// flatConfig reports whether the configuration lets rounds run on the
+// compiled flat walker: a snapshot exists and no netsim instrumentation or
+// ablation is requested.
+func (r *Router) flatConfig() bool {
+	return r.flat != nil && !r.cfg.DisableFlat && !r.cfg.NoDegreeReduction &&
+		r.cfg.Confirm == ConfirmBacktrack && r.cfg.Trace == nil &&
+		r.cfg.FaultHook == nil && !r.cfg.WireFormat && r.cfg.MemoryBudgetBits == 0
+}
+
 // flatSeq decides whether a round over seq may run on the compiled flat
 // walker, and returns it as a prefix of the router's direction stream if
 // so. The reference engine keeps the round whenever its instrumentation is
 // requested or the sequence is not the stream's: not PRF-backed, not base
 // 3, or of another seed.
 func (r *Router) flatSeq(seq ues.Sequence) (flatgraph.Seq, bool) {
-	if r.flat == nil || r.cfg.DisableFlat || r.cfg.NoDegreeReduction ||
-		r.cfg.Confirm != ConfirmBacktrack || r.cfg.Trace != nil ||
-		r.cfg.FaultHook != nil || r.cfg.WireFormat || r.cfg.MemoryBudgetBits != 0 {
+	if !r.flatConfig() {
 		return flatgraph.Seq{}, false
 	}
 	prf, ok := seq.(ues.PRFBacked)
@@ -625,19 +786,8 @@ func (r *Router) covered(start, t graph.NodeID, bound int) (bool, error) {
 // component of G′ (false when t has no gadget, and under the no-reduction
 // ablation).
 func (r *Router) sharesComponent(start, t graph.NodeID) bool {
-	if r.flat == nil {
-		return false
-	}
-	te, ok := r.red.Entry(t)
-	if !ok {
-		return false
-	}
-	ti, ok := r.flat.Index(te)
-	if !ok {
-		return false
-	}
-	si, ok := r.flat.Index(start)
-	return ok && r.flat.Components().Same(si, ti)
+	sc, tc, ok := r.components(start, t)
+	return ok && sc == tc
 }
 
 // coverWalk runs the §4 closure check for T_bound from the entry position:

@@ -14,19 +14,26 @@ import (
 	"repro/internal/trace"
 )
 
-// diffTraced routes s→dst untraced and traced and fails on any Result
-// divergence; it returns the traced request's exported form.
-func diffTraced(t *testing.T, g *graph.Graph, cfg Config, s, dst graph.NodeID) trace.Export {
+// budgetsThatNeverStrike are the query budgets the tracing differential
+// runs: none, and one far above any test walk — a bounded walk must trace
+// exactly like an unbounded one.
+var budgetsThatNeverStrike = []int64{0, 1 << 40}
+
+// diffTraced routes q's pair untraced and then q traced, and fails on any
+// Result divergence; it returns the traced request's exported form.
+func diffTraced(t *testing.T, g *graph.Graph, cfg Config, q Query) trace.Export {
 	t.Helper()
 	r, err := New(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, dst := q.Src, q.Dst
 	plain, errPlain := r.Route(s, dst)
 
 	tc := trace.New(trace.Config{SampleRate: 1})
 	tr := tc.StartRequest("route", "")
-	traced, errTraced := r.RouteTraced(s, dst, tr.Root())
+	q.Span = tr.Root()
+	traced, errTraced := r.RouteQuery(q)
 	tr.Finish()
 
 	if (errPlain == nil) != (errTraced == nil) {
@@ -45,7 +52,8 @@ func diffTraced(t *testing.T, g *graph.Graph, cfg Config, s, dst graph.NodeID) t
 // TestTracedRouteMatchesUntraced is the acceptance differential: over
 // random labeled multigraphs, tracing changes nothing about the Result,
 // every round appears as a flat "route.round" span (no netsim fallback),
-// and the spans' hop totals sum to the Result's hop count.
+// and the spans' hop totals sum to the Result's hop count — with and
+// without a budget.
 func TestTracedRouteMatchesUntraced(t *testing.T) {
 	for seed := uint64(0); seed < 10; seed++ {
 		g := randomMultigraph(seed, 8+int(seed%6), int(seed%8))
@@ -61,26 +69,30 @@ func TestTracedRouteMatchesUntraced(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ex := diffTraced(t, g, cfg, s, dst)
+			for _, budget := range budgetsThatNeverStrike {
+				ex := diffTraced(t, g, cfg, Query{Src: s, Dst: dst, Budget: budget})
 
-			var hops int64
-			rounds := 0
-			for _, sp := range ex.Spans {
-				hops += sp.HopTotal
-				if sp.Name == "route.round" {
-					rounds++
-				}
-				for _, ev := range sp.Events {
-					if ev.Name == "route.round.netsim" {
-						t.Fatalf("seed %d dst %d: traced round fell back to netsim", seed, dst)
+				var hops int64
+				rounds := 0
+				for _, sp := range ex.Spans {
+					hops += sp.HopTotal
+					if sp.Name == "route.round" {
+						rounds++
+					}
+					for _, ev := range sp.Events {
+						if ev.Name == "route.round.netsim" {
+							t.Fatalf("seed %d dst %d budget %d: traced round fell back to netsim", seed, dst, budget)
+						}
 					}
 				}
-			}
-			if rounds != len(want.Rounds) {
-				t.Fatalf("seed %d dst %d: %d round spans, Result has %d rounds", seed, dst, rounds, len(want.Rounds))
-			}
-			if hops != want.Hops {
-				t.Fatalf("seed %d dst %d: spans recorded %d hops, Result.Hops = %d", seed, dst, hops, want.Hops)
+				if rounds != len(want.Rounds) {
+					t.Fatalf("seed %d dst %d budget %d: %d round spans, Result has %d rounds",
+						seed, dst, budget, rounds, len(want.Rounds))
+				}
+				if hops != want.Hops {
+					t.Fatalf("seed %d dst %d budget %d: spans recorded %d hops, Result.Hops = %d",
+						seed, dst, budget, hops, want.Hops)
+				}
 			}
 		}
 	}
@@ -95,7 +107,16 @@ func TestTracedRouteHopTail(t *testing.T) {
 	nodes := g.SortedNodes()
 	// Certificates are disabled so the unreachable pair walks its budget
 	// and leaves per-hop evidence behind.
-	ex := diffTraced(t, g, Config{Seed: 3, LengthFactor: 1, DisableCertificates: true}, nodes[0], graph.NodeID(999983))
+	for _, budget := range budgetsThatNeverStrike {
+		ex := diffTraced(t, g, Config{Seed: 3, LengthFactor: 1, DisableCertificates: true},
+			Query{Src: nodes[0], Dst: graph.NodeID(999983), Budget: budget})
+		checkHopTail(t, ex)
+	}
+}
+
+// checkHopTail checks the terminal round span's retained hop tail.
+func checkHopTail(t *testing.T, ex trace.Export) {
+	t.Helper()
 	last := ex.Spans[len(ex.Spans)-1]
 	if last.Name != "route.round" || last.HopTotal == 0 {
 		t.Fatalf("terminal span %+v has no hops", last)

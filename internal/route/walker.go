@@ -40,19 +40,8 @@ func (r netsimRound) Outcome() (netsim.Status, bool) {
 
 // flatRoundStepper adapts flatgraph.RouteStepper to roundStepper.
 type flatRoundStepper struct {
-	st flatStepper
+	st *flatgraph.RouteStepper
 	g  *flatgraph.Graph
-}
-
-// flatStepper is the subset of flatgraph.RouteStepper the walker needs
-// (kept as an interface only to avoid a direct struct dependency here; the
-// concrete type comes from Router.flat).
-type flatStepper interface {
-	Step() bool
-	Hops() int64
-	Success() bool
-	Err() error
-	Position() (node, inPort int32)
 }
 
 func (r flatRoundStepper) Step() bool  { return r.st.Step() }
@@ -75,12 +64,14 @@ func (r flatRoundStepper) Outcome() (netsim.Status, bool) {
 // Walker is a step-at-a-time view of Route, used by the Corollary 2
 // composition (package hybrid): the guaranteed router advances one message
 // hop per Step so it can be interleaved with a probabilistic router.
+// Between rounds it takes RouteQuery's own post-round step (afterRound),
+// so both keep one doubling schedule.
 type Walker struct {
-	r        *Router
-	s, t     graph.NodeID
-	bound    int
-	maxBound int
-	round    roundStepper
+	r     *Router
+	s, t  graph.NodeID
+	start graph.NodeID // s's walk entry
+	bound int
+	round roundStepper
 	// completedHops accumulates hops from finished rounds; the current
 	// round's hops live in the round stepper.
 	completedHops int64
@@ -96,20 +87,17 @@ func (r *Router) Walker(s, t graph.NodeID) (*Walker, error) {
 	if !r.orig.HasNode(s) {
 		return nil, fmt.Errorf("route: source: %w: %d", graph.ErrNodeNotFound, s)
 	}
-	w := &Walker{r: r, s: s, t: t, maxBound: r.cfg.MaxBound}
-	if w.maxBound <= 0 {
-		w.maxBound = 4 * r.work.NumNodes()
-	}
+	w := &Walker{r: r, s: s, t: t}
 	if s == t {
 		w.done = true
 		w.status = netsim.StatusSuccess
 		return w, nil
 	}
-	w.bound = 4
-	if r.cfg.KnownN > 0 {
-		w.bound = r.cfg.KnownN
-		w.maxBound = r.cfg.KnownN
+	start, err := r.entry(s)
+	if err != nil {
+		return nil, err
 	}
+	w.start, w.bound = start, r.firstBound()
 	if err := w.startRound(); err != nil {
 		return nil, err
 	}
@@ -117,17 +105,13 @@ func (r *Router) Walker(s, t graph.NodeID) (*Walker, error) {
 }
 
 func (w *Walker) startRound() error {
-	start, err := w.r.entry(w.s)
-	if err != nil {
-		return err
-	}
 	seq := w.r.sequence(w.bound)
 	if fs, ok := w.r.flatSeq(seq); ok {
-		si, ok := w.r.flat.Index(start)
+		si, ok := w.r.flat.Index(w.start)
 		if !ok {
-			return fmt.Errorf("route: %w: %d", graph.ErrNodeNotFound, start)
+			return fmt.Errorf("route: %w: %d", graph.ErrNodeNotFound, w.start)
 		}
-		st, err := w.r.flat.RouteStepper(si, w.s, w.t, fs)
+		st, err := w.r.flat.ResumeRouteStepper(flatgraph.Origin(si), w.s, w.t, fs)
 		if err != nil {
 			return err
 		}
@@ -140,7 +124,7 @@ func (w *Walker) startRound() error {
 		// the hybrid composition needs every round to end with a verdict.
 		&routeHandler{seq: seq, originalOf: w.r.originalOf(), confirm: ConfirmBacktrack},
 		w.r.engineOptions()...)
-	stepper, err := eng.Stepper(start, 0, h, 2*int64(seq.Len())+8)
+	stepper, err := eng.Stepper(w.start, 0, h, 2*int64(seq.Len())+8)
 	if err != nil {
 		return err
 	}
@@ -168,35 +152,17 @@ func (w *Walker) Step() bool {
 		w.fail(fmt.Errorf("route: message dropped at %d", w.round.Final()))
 		return true
 	}
-	if status == netsim.StatusSuccess {
-		w.done = true
-		w.status = netsim.StatusSuccess
-		return true
-	}
-	// Failed round: definitive iff covered.
-	start, err := w.r.entry(w.s)
+	verdict, next, err := w.r.afterRound(w.start, w.t, &RoundStat{Bound: w.bound, Outcome: status}, true, nil)
 	if err != nil {
 		w.fail(err)
 		return true
 	}
-	covered, err := w.r.covered(start, w.t, w.bound)
-	if err != nil {
-		w.fail(err)
-		return true
-	}
-	if covered {
+	if verdict != netsim.StatusNone {
 		w.done = true
-		w.status = netsim.StatusFailure
+		w.status = verdict
 		return true
 	}
-	if w.bound >= w.maxBound {
-		w.fail(fmt.Errorf("%w: bound %d", ErrSequenceExhausted, w.bound))
-		return true
-	}
-	w.bound *= w.r.cfg.growth()
-	if w.bound > w.maxBound {
-		w.bound = w.maxBound
-	}
+	w.bound = next
 	if err := w.startRound(); err != nil {
 		w.fail(err)
 	}

@@ -299,8 +299,11 @@ type Span struct {
 	eventsDropped int64
 
 	// hops is the tail-capture ring: hopTotal counts every hop, the ring
-	// keeps the most recent len(hops) of them.
+	// keeps the most recent len(hops) of them and writes the next at
+	// hopNext (hopTotal mod len(hops), kept apart so a hop costs no
+	// division).
 	hops     []HopEvent
+	hopNext  int
 	hopTotal int64
 }
 
@@ -361,7 +364,10 @@ func (sp *Span) Hop(ev HopEvent) {
 		return
 	}
 	ev.Hop = sp.hopTotal
-	sp.hops[sp.hopTotal%int64(len(sp.hops))] = ev
+	sp.hops[sp.hopNext] = ev
+	if sp.hopNext++; sp.hopNext == len(sp.hops) {
+		sp.hopNext = 0
+	}
 	sp.hopTotal++
 }
 
